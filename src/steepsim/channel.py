@@ -11,6 +11,7 @@ per-entry variance of h_AB is gamma^2 + (1-gamma)^2 rather than 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,6 +73,9 @@ class SystemConfig:
             raise ValueError(f"n_E must be >= 1, got {self.n_E}")
         if self.n_B != 1:
             raise ValueError(f"n_B is fixed to 1, got {self.n_B}")
+        for name in ("P_A_dB", "P_B_dB", "sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -129,6 +133,25 @@ def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRe
     return ch
 
 
+def echo_budget(cfg: SystemConfig) -> float:
+    """Bob's budget left for the echo under CONSUMED_PB: P_B - (n_A/P_A)*sigma2_B.
+
+    Depends on the configuration alone, so a run is either feasible for every
+    realization or for none.
+
+    Raises:
+        InfeasiblePowerError: if the budget cannot cover the forwarded
+            probe-noise floor (n_A/P_A)*sigma2_B.
+    """
+    echo_floor = (cfg.n_A / cfg.P_A) * cfg.sigma2_B
+    if cfg.P_B <= echo_floor:
+        raise InfeasiblePowerError(
+            f"infeasible power budget: P_B={cfg.P_B:.6g} does not exceed "
+            f"the probe-noise floor {echo_floor:.6g}"
+        )
+    return cfg.P_B - echo_floor
+
+
 def reference_power(cfg: SystemConfig, ch: ChannelRealization) -> float:
     """Reference echo power P_B' for one realization.
 
@@ -138,14 +161,8 @@ def reference_power(cfg: SystemConfig, ch: ChannelRealization) -> float:
     solving it is returned.
 
     Raises:
-        InfeasiblePowerError: if the budget cannot cover the forwarded
-            probe-noise floor (n_A/P_A)*sigma2_B.
+        InfeasiblePowerError: under CONSUMED_PB, see echo_budget.
     """
     if cfg.power_convention is PowerConvention.REFERENCE_PB_PRIME:
         return cfg.P_B
-    echo_floor = (cfg.n_A / cfg.P_A) * cfg.sigma2_B
-    if cfg.P_B <= echo_floor:
-        raise InfeasiblePowerError(
-            f"P_B={cfg.P_B:.6g} does not exceed the probe-noise floor {echo_floor:.6g}"
-        )
-    return (cfg.P_B - echo_floor) / (1.0 + norm2(ch.h_BA))
+    return echo_budget(cfg) / (1.0 + norm2(ch.h_BA))

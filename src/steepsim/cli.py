@@ -127,6 +127,11 @@ def _settings_from_args(args):
     return parse_settings(kv)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def cmd_ensemble(args) -> int:
     try:
         cfg, trials, seed, rs_grid = _settings_from_args(args)
@@ -138,6 +143,7 @@ def cmd_ensemble(args) -> int:
         seed = 1 if seed is None else seed
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        _check_seed(seed)
         if args.workers < 1:
             raise ValueError(f"workers must be >= 1, got {args.workers}")
     except (OSError, ValueError) as exc:
@@ -162,6 +168,7 @@ def cmd_ensemble(args) -> int:
 def cmd_single(args) -> int:
     try:
         cfg, _, _, _ = _settings_from_args(args)
+        _check_seed(args.seed)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -198,6 +205,7 @@ def cmd_single(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cfg, _, _, _ = _settings_from_args(args)
+        _check_seed(args.seed)
         if args.m < 1000:
             raise ValueError(f"m must be >= 1000, got {args.m}")
     except (OSError, ValueError) as exc:

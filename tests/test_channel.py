@@ -36,6 +36,15 @@ def test_config_rejects_bad_fields():
         _cfg(gamma=-0.1)
 
 
+@pytest.mark.parametrize(
+    "name", ["P_A_dB", "P_B_dB", "sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB", "gamma"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=name):
+        _cfg(**{name: value})
+
+
 def test_power_db_conversion():
     cfg = _cfg(P_A_dB=20.0, P_B_dB=30.0)
     assert cfg.P_A == pytest.approx(100.0)

@@ -149,6 +149,22 @@ def test_ensemble_zero_trials_exit_code(cfg_file, tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ensemble", "single", "verify"])
+def test_negative_seed_exit_code(command, cfg_file, tmp_path, capsys):
+    out = tmp_path / "x"
+    extra = ["--out", str(out)] if command == "ensemble" else []
+    rc = main([command, "--config", cfg_file, "--seed", "-1"] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_non_finite_config_value_exit_code(cfg_file, capsys):
+    rc = main(["single", "--config", cfg_file, "--set", "P_A_dB=nan", "--set", "sigma2_A=nan"])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_ensemble_infeasible_budget_exit_code(cfg_file, tmp_path, capsys):
     rc = main([
         "ensemble", "--config", cfg_file,

@@ -119,8 +119,16 @@ def test_infeasible_budget_aborts():
     cfg = _cfg(
         P_A_dB=-30.0, P_B_dB=0.0, power_convention=PowerConvention.CONSUMED_PB
     )
-    with pytest.raises(InfeasiblePowerError):
+    with pytest.raises(InfeasiblePowerError, match="infeasible"):
         run_ensemble(cfg, trials=50, seed=1)
+    # the same powers are feasible when P_B sets the reference power directly
+    ref = _cfg(P_A_dB=-30.0, P_B_dB=0.0, power_convention=PowerConvention.REFERENCE_PB_PRIME)
+    assert run_ensemble(ref, trials=5, seed=1).infeasible == 0
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        run_ensemble(_cfg(), trials=5, seed=-1)
 
 
 def test_default_grid_spans_unit_interval(small_ensemble):
