@@ -11,7 +11,7 @@ simulation used to verify the closed forms.
 
 __version__ = "0.1.0"
 
-from .baseline import BaselineAnalysis, conventional, gain
+from .baseline import BaselineAnalysis, conventional
 from .channel import (
     ChannelRealization,
     InfeasiblePowerError,
@@ -50,7 +50,6 @@ from .steep import (
     SteepAnalysis,
     beta,
     beta_via_eig,
-    beta_via_solve,
     c_key_siso,
     c_steep,
     c_steep_asymptotic_nA_le_nE,
@@ -79,14 +78,12 @@ __all__ = [
     "alice_receiver",
     "beta",
     "beta_via_eig",
-    "beta_via_solve",
     "c_key_siso",
     "c_steep",
     "c_steep_asymptotic_nA_le_nE",
     "c_steep_large_pb",
     "conventional",
     "eve_receiver",
-    "gain",
     "gain_distribution",
     "hermitian_eig",
     "mmse_residual_cov",

@@ -75,11 +75,3 @@ def conventional(
         c_conv=c_conv,
         gain=steep.c_steep_clamped - c_conv,
     )
-
-
-def gain(steep: SteepAnalysis, base: BaselineAnalysis) -> float:
-    """Capacity gain of the probe-echo scheme over the baseline.
-
-    Both sides are clamped capacities from the same realization and powers.
-    """
-    return steep.c_steep_clamped - base.c_conv

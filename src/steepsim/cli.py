@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,11 +24,11 @@ from .channel import (
     sample_realization,
 )
 from .linops import DegenerateChannelError
-from .mc import DEFAULT_RS_GRID, RunManifest, outage_at, run_ensemble, write_outputs
+from .mc import outage_at, run_ensemble, write_outputs
 from .sigsim import variance_report
 from .steep import c_steep, sdof
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 _EPILOG = "Powers given in dB are converted as linear = 10^(dB/10)."
 
@@ -71,8 +72,8 @@ def _parse_rs_grid(text: str) -> np.ndarray:
         raise ValueError(f"Rs_grid must be start,stop,points, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
     points = int(parts[2])
-    if points < 1 or stop < start:
-        raise ValueError(f"bad Rs_grid {text!r}")
+    if points < 1 or not (math.isfinite(start) and math.isfinite(stop)) or stop < start:
+        raise ValueError(f"bad Rs_grid {text!r}: wants finite start <= stop and points >= 1")
     return np.linspace(start, stop, points)
 
 

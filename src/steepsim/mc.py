@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import subprocess
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -29,7 +28,7 @@ from . import __version__
 from .baseline import conventional
 from .channel import PowerConvention, SystemConfig, echo_budget, sample_realization
 from .linops import DegenerateChannelError
-from .steep import EIG_ROUTE_MIN_DIM, LN2, c_steep
+from .steep import LN2, c_steep
 
 HIST_BINS = 60
 DEFAULT_RS_GRID = np.linspace(0.0, 1.0, 101)
@@ -221,22 +220,15 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     else:
         p_b_prime = echo_budget(cfg) / (1.0 + nh_BA)
     scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
-    # steep._gram, in place to keep the block's peak memory down
+    # steep.beta's matrix scale*_gram + I, in place to keep the block's peak
+    # memory down
     gram = G_A.conj().swapaxes(1, 2) @ G_A
     gram += gram.conj().swapaxes(1, 2)
     gram *= 0.5
+    gram *= scale
+    gram += np.eye(n_A)
     u = h_BA.conj()
-    if n_A >= EIG_ROUTE_MIN_DIM:
-        vals, vecs = np.linalg.eigh(gram)
-        del gram
-        lam = np.maximum(vals[:, ::-1], 0.0)
-        # C-ordered like hermitian_eig's copy, so the gemv below matches too
-        q_h = np.conjugate(vecs[:, :, ::-1], order="C").swapaxes(1, 2)
-        zq = (q_h @ u[:, :, None])[:, :, 0]
-        b = np.sum(np.abs(zq) ** 2 / (scale * lam + 1.0), axis=1)
-    else:
-        m = scale * gram + np.eye(n_A)
-        b = (h_BA[:, None, :] @ np.linalg.solve(m, u[:, :, None]))[:, 0, 0].real
+    b = (h_BA[:, None, :] @ np.linalg.solve(gram, u[:, :, None]))[:, 0, 0].real
     floor = (cfg.n_A / cfg.P_A) * cfg.sigma2_B
     var_a = floor + cfg.sigma2_A / (p_b_prime * nh_AB)
     var_e = b + floor + cfg.sigma2_EB / (p_b_prime * ng_B)
@@ -305,8 +297,8 @@ def run_ensemble(
         InfeasiblePowerError: if the configured budget cannot cover the
             probe-noise floor (checked once, before any trial runs).
         DegenerateChannelError: if a draw has a zero-norm response.
-        ValueError: on a non-positive trial count, a negative seed or an
-            unsorted grid.
+        ValueError: on a non-positive trial count, a negative seed, or an
+            unsorted or non-finite grid.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -315,8 +307,9 @@ def run_ensemble(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     grid = DEFAULT_RS_GRID if rs_grid is None else np.asarray(rs_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1 or np.any(np.diff(grid) < 0):
-        raise ValueError("rs_grid must be a nonempty ascending 1-d grid")
+    finite = grid.ndim == 1 and grid.size >= 1 and np.isfinite(grid).all()
+    if not finite or np.any(np.diff(grid) < 0):
+        raise ValueError("rs_grid must be a nonempty ascending 1-d grid of finite values")
     if cfg.power_convention is PowerConvention.CONSUMED_PB:
         echo_budget(cfg)
 
@@ -387,22 +380,6 @@ class RunManifest:
 _fmt = "{:.17g}".format
 
 
-def _version_string() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return __version__
-
-
 def config_as_dict(cfg: SystemConfig) -> dict:
     d = {
         "n_A": cfg.n_A,
@@ -457,7 +434,7 @@ def write_outputs(result: EnsembleResult, outdir) -> RunManifest:
         config={**config_as_dict(result.cfg), "rs_grid": [float(x) for x in result.rs_grid]},
         seed=result.seed,
         trials=result.trials,
-        version=_version_string(),
+        version=__version__,
         outputs={
             "samples": str(samples),
             "outage": str(outage),

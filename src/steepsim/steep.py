@@ -24,10 +24,6 @@ from .linops import DegenerateChannelError, hermitian_eig, sample_cn, sample_cn_
 
 LN2 = math.log(2.0)
 
-# Above this antenna count the Gram solve is replaced by the eigen route,
-# which is better conditioned when the probe SNR is extreme.
-EIG_ROUTE_MIN_DIM = 9
-
 
 @dataclass(frozen=True)
 class SteepAnalysis:
@@ -65,31 +61,29 @@ def mmse_residual_cov(cfg: SystemConfig, G_A: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
-def beta_via_solve(cfg: SystemConfig, ch: ChannelRealization) -> float:
-    """beta = h_BA^T R h_BA^* evaluated through one positive-definite solve."""
+def beta(cfg: SystemConfig, ch: ChannelRealization) -> float:
+    """Eve's irreducible probe uncertainty seen through Bob's downlink.
+
+    beta = h_BA^T R h_BA^*, evaluated through one solve with the matrix
+    scale*G_A^H G_A + I, whose eigenvalues are all at least 1.
+    """
     scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
     m = scale * _gram(ch.G_A) + np.eye(cfg.n_A)
     u = ch.h_BA.conj()
-    return float(np.vdot(u, solve_psd(m, u)).real)
+    return float(np.vdot(u, np.linalg.solve(m, u)).real)
 
 
 def beta_via_eig(cfg: SystemConfig, ch: ChannelRealization) -> float:
     """beta through the eigendecomposition of the probe Gram matrix.
 
     With G_A^H G_A = Q diag(lam) Q^H, beta = sum_i |(Q^H h_BA^*)_i|^2 / (scale*lam_i + 1).
+    Test oracle for beta: an independent route to the same quantity.
     """
     scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
     eig = hermitian_eig(_gram(ch.G_A))
     lam = np.maximum(eig.eigenvalues, 0.0)
     z = eig.eigenvectors.conj().T @ ch.h_BA.conj()
     return float(np.sum(np.abs(z) ** 2 / (scale * lam + 1.0)))
-
-
-def beta(cfg: SystemConfig, ch: ChannelRealization) -> float:
-    """Eve's irreducible probe uncertainty seen through Bob's downlink."""
-    if cfg.n_A >= EIG_ROUTE_MIN_DIM:
-        return beta_via_eig(cfg, ch)
-    return beta_via_solve(cfg, ch)
 
 
 def sigma2_vA(cfg: SystemConfig, ch: ChannelRealization, P_B_prime: float) -> float:

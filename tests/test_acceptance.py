@@ -17,8 +17,8 @@ from steepsim.channel import PowerConvention, SystemConfig, sample_realization
 from steepsim.mc import run_ensemble, write_outputs
 from steepsim.sigsim import variance_report
 from steepsim.steep import (
+    beta,
     beta_via_eig,
-    beta_via_solve,
     c_steep,
     c_steep_asymptotic_nA_le_nE,
     c_steep_large_pb,
@@ -130,7 +130,7 @@ def test_residual_cov_forms_agree():
             np.linalg.norm(lib - direct) / scale_ref,
             np.linalg.norm(lib - complement) / scale_ref,
         )
-        b_solve = beta_via_solve(cfg, ch)
+        b_solve = beta(cfg, ch)
         b_eig = beta_via_eig(cfg, ch)
         worst_beta = max(worst_beta, abs(b_solve - b_eig) / b_solve)
     ok = worst_cov <= 1e-9 and worst_beta <= 1e-9

@@ -165,6 +165,17 @@ def test_non_finite_config_value_exit_code(cfg_file, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0,inf,5", "nan,1,5", "0,nan,3"])
+def test_non_finite_rs_grid_exit_code(grid, cfg_file, tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = main(["ensemble", "--config", cfg_file, "--set", f"Rs_grid={grid}", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad Rs_grid '{grid}'")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_ensemble_infeasible_budget_exit_code(cfg_file, tmp_path, capsys):
     rc = main([
         "ensemble", "--config", cfg_file,

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import steepsim
 from steepsim.channel import InfeasiblePowerError, PowerConvention, SystemConfig
 from steepsim.mc import (
     DEFAULT_RS_GRID,
@@ -126,6 +127,14 @@ def test_infeasible_budget_aborts():
     assert run_ensemble(ref, trials=5, seed=1).infeasible == 0
 
 
+@pytest.mark.parametrize(
+    "grid", [[0.0, np.inf, 5.0], [np.nan, 1.0], [0.0, np.nan, 3.0], [np.nan]]
+)
+def test_non_finite_grid_rejected(grid):
+    with pytest.raises(ValueError, match="finite"):
+        run_ensemble(_cfg(), trials=5, seed=1, rs_grid=np.array(grid))
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed"):
         run_ensemble(_cfg(), trials=5, seed=-1)
@@ -163,6 +172,7 @@ def test_write_outputs_layout(tmp_path, small_ensemble):
     assert meta["seed"] == small_ensemble.seed
     assert meta["trials"] == 2000
     assert meta["infeasible"] == small_ensemble.infeasible
+    assert meta["version"] == steepsim.__version__
     assert meta["config"]["n_E"] == 6
     assert len(meta["config"]["rs_grid"]) == 101
     assert meta == manifest.__dict__ | {"config": meta["config"]}
