@@ -12,12 +12,18 @@ per-entry variance of h_AB is gamma^2 + (1-gamma)^2 rather than 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix
+
+
+# bound on |P_A_dB| and |P_B_dB|: beyond it 10^(dB/10) overflows or
+# underflows, and for n_A > n_E beta's solve loses accuracy (relative error
+# about 4e-17*P_A, i.e. 4e-7 at 100 dB)
+POWER_DB_LIMIT = 100.0
 
 
 class InfeasiblePowerError(Exception):
@@ -43,8 +49,10 @@ class SystemConfig:
     Args:
         n_A: Alice antenna count.
         n_E: Eve antenna count.
-        P_A_dB: Alice transmit power in dB relative to unit noise.
-        P_B_dB: Bob power in dB; meaning depends on power_convention.
+        P_A_dB: Alice transmit power in dB relative to unit noise, in
+            [-POWER_DB_LIMIT, POWER_DB_LIMIT].
+        P_B_dB: Bob power in dB, in [-POWER_DB_LIMIT, POWER_DB_LIMIT]; meaning
+            depends on power_convention.
         n_B: Bob antenna count, fixed to 1.
         sigma2_B: noise variance at Bob (probe phase).
         sigma2_A: noise variance at Alice (echo phase).
@@ -67,15 +75,22 @@ class SystemConfig:
     power_convention: PowerConvention = PowerConvention.CONSUMED_PB
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_A < 1:
             raise ValueError(f"n_A must be >= 1, got {self.n_A}")
         if self.n_E < 1:
             raise ValueError(f"n_E must be >= 1, got {self.n_E}")
         if self.n_B != 1:
             raise ValueError(f"n_B is fixed to 1, got {self.n_B}")
-        for name in ("P_A_dB", "P_B_dB", "sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("P_A_dB", "P_B_dB"):
+            if abs(getattr(self, name)) > POWER_DB_LIMIT:
+                raise ValueError(
+                    f"{name} must be in [-{POWER_DB_LIMIT:g}, {POWER_DB_LIMIT:g}] dB, "
+                    f"got {getattr(self, name)}"
+                )
         for name in ("sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")

@@ -11,18 +11,15 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
+from dataclasses import MISSING, fields
+from enum import Enum
 from pathlib import Path
+from typing import Callable, get_type_hints
 
 import numpy as np
 
 from .baseline import conventional
-from .channel import (
-    InfeasiblePowerError,
-    PowerConvention,
-    SystemConfig,
-    sample_realization,
-)
+from .channel import InfeasiblePowerError, SystemConfig, sample_realization
 from .linops import DegenerateChannelError
 from .mc import outage_at, run_ensemble, write_outputs
 from .sigsim import variance_report
@@ -31,11 +28,6 @@ from .steep import c_steep, sdof
 __all__ = ["main"]
 
 _EPILOG = "Powers given in dB are converted as linear = 10^(dB/10)."
-
-_INT_KEYS = ("n_A", "n_B", "n_E", "trials", "seed")
-_FLOAT_KEYS = ("P_A_dB", "P_B_dB", "sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB", "gamma")
-_CONFIG_KEYS = set(_INT_KEYS) | set(_FLOAT_KEYS) | {"power_convention", "Rs_grid"}
-_REQUIRED_KEYS = ("n_A", "n_E", "P_A_dB", "P_B_dB")
 
 # variance tolerances in standard errors, matching the test suite
 _SCALAR_SE_TOL = 3.0
@@ -67,14 +59,44 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def _parse_rs_grid(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"Rs_grid must be start,stop,points, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    points = int(parts[2])
-    if points < 1 or not (math.isfinite(start) and math.isfinite(stop)) or stop < start:
-        raise ValueError(f"bad Rs_grid {text!r}: wants finite start <= stop and points >= 1")
+    try:
+        start, stop, points = text.split(",")
+        start, stop, points = float(start), float(stop), int(points)
+        ok = points >= 1 and math.isfinite(start) and math.isfinite(stop) and start <= stop
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"bad Rs_grid {text!r}: wants start,stop,points with finite start <= stop "
+            "and points >= 1"
+        )
     return np.linspace(start, stop, points)
+
+
+def _typed(key: str, kind: type) -> Callable[[str], object]:
+    """Parser of one config value of type kind; its error names the key."""
+    if issubclass(kind, Enum):
+        wants = "one of: " + ", ".join(m.value for m in kind)
+    else:
+        wants = {int: "an integer", float: "a number"}[kind]
+
+    def parse(raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(f"config key {key} wants {wants}, got {raw!r}") from None
+
+    return parse
+
+
+# config key -> parser: every SystemConfig field, then the run settings
+_HINTS = get_type_hints(SystemConfig)
+_SCHEMA = {f.name: _typed(f.name, _HINTS[f.name]) for f in fields(SystemConfig)} | {
+    "trials": _typed("trials", int),
+    "seed": _typed("seed", int),
+    "Rs_grid": _parse_rs_grid,
+}
+_REQUIRED = [f.name for f in fields(SystemConfig) if f.default is MISSING]
 
 
 def parse_settings(kv: dict[str, str]):
@@ -83,39 +105,17 @@ def parse_settings(kv: dict[str, str]):
     trials, seed and rs_grid are None when not present so the caller can
     apply command-line overrides and defaults.
     """
-    unknown = set(kv) - _CONFIG_KEYS
+    unknown = kv.keys() - _SCHEMA.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    missing = [k for k in _REQUIRED_KEYS if k not in kv]
+    missing = [k for k in _REQUIRED if k not in kv]
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
-
-    fields: dict = {}
-    for key, raw in kv.items():
-        if key in _INT_KEYS:
-            try:
-                fields[key] = int(raw)
-            except ValueError:
-                raise ValueError(f"config key {key} wants an integer, got {raw!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                fields[key] = float(raw)
-            except ValueError:
-                raise ValueError(f"config key {key} wants a number, got {raw!r}") from None
-        elif key == "power_convention":
-            try:
-                fields[key] = PowerConvention(raw)
-            except ValueError:
-                valid = ", ".join(p.value for p in PowerConvention)
-                raise ValueError(f"power_convention must be one of: {valid}") from None
-        elif key == "Rs_grid":
-            fields[key] = _parse_rs_grid(raw)
-
-    trials = fields.pop("trials", None)
-    seed = fields.pop("seed", None)
-    rs_grid = fields.pop("Rs_grid", None)
-    cfg = SystemConfig(**fields)
-    return cfg, trials, seed, rs_grid
+    values = {key: _SCHEMA[key](raw) for key, raw in kv.items()}
+    trials = values.pop("trials", None)
+    seed = values.pop("seed", None)
+    rs_grid = values.pop("Rs_grid", None)
+    return SystemConfig(**values), trials, seed, rs_grid
 
 
 def _settings_from_args(args):
@@ -136,23 +136,23 @@ def _check_seed(seed: int) -> None:
 def cmd_ensemble(args) -> int:
     try:
         cfg, trials, seed, rs_grid = _settings_from_args(args)
-        if args.trials is not None:
-            trials = args.trials
-        if args.seed is not None:
-            seed = args.seed
-        trials = 100_000 if trials is None else trials
-        seed = 1 if seed is None else seed
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        _check_seed(seed)
-        if args.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {args.workers}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.trials is not None:
+        trials = args.trials
+    if args.seed is not None:
+        seed = args.seed
+    trials = 100_000 if trials is None else trials
+    seed = 1 if seed is None else seed
     try:
+        # run_ensemble checks trials, seed, workers and the grid before any
+        # trial runs, so a ValueError is bad input and leaves no output
         result = run_ensemble(cfg, trials, seed, rs_grid=rs_grid, workers=args.workers)
         manifest = write_outputs(result, args.out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (InfeasiblePowerError, DegenerateChannelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -160,7 +160,7 @@ def cmd_ensemble(args) -> int:
     print(f"trials = {result.trials} (infeasible = {result.infeasible})")
     print(f"O_steep(0) = {o_s:.6g}")
     print(f"O_conv(0) = {o_c:.6g}")
-    for name, path in manifest.outputs.items():
+    for name, path in manifest["outputs"].items():
         print(f"{name}: {path}")
     print(f"manifest: {Path(args.out) / 'manifest.json'}")
     return 0

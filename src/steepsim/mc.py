@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -34,6 +34,9 @@ HIST_BINS = 60
 DEFAULT_RS_GRID = np.linspace(0.0, 1.0, 101)
 # trials per block: bounds the block arrays to a few MB at n_A=16, n_E=8
 BLOCK_TRIALS = 512
+# largest trial count: every trial index fits one 32-bit seed word, and the
+# per-trial arrays of such a run already take about 180 GB
+MAX_TRIALS = 2**32
 
 
 @dataclass
@@ -98,15 +101,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pcg64_states(seed: int, ts: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence([seed, t])) for each t in ts.
-
-    Every t in ts must have the same number of 32-bit words.
-    """
+    """(state, inc) of PCG64(SeedSequence([seed, t])) for each uint32 t in ts."""
     n = ts.shape[0]
     entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    entropy.append((ts & _MASK32).astype(np.uint32))
-    if int(ts[0]) > _MASK32:
-        entropy.append((ts >> 32).astype(np.uint32))
+    entropy.append(ts)
     # SeedSequence.mix_entropy; a missing entropy word hashes as 0
     hash_const = _INIT_A
     pool = []
@@ -141,24 +139,23 @@ def _pcg64_states(seed: int, ts: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _child_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
-    """Row t - start holds default_rng([seed, t]).standard_normal(width)."""
+    """Row t - start holds default_rng([seed, t]).standard_normal(width).
+
+    Trial indices stay below MAX_TRIALS, so each is one 32-bit seed word.
+    """
     out = np.empty((stop - start, width))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    row = 0
-    # a trial index takes one more seed word from 2**32 on
-    for lo, hi in ((start, min(stop, 1 << 32)), (max(start, 1 << 32), stop)):
-        if hi <= lo:
-            continue
-        for state, inc in _pcg64_states(seed, np.arange(lo, hi, dtype=np.uint64)):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.standard_normal(out=out[row])
-            row += 1
+    ts = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
+    states = _pcg64_states(seed, ts)
+    for row, (state, inc) in enumerate(states):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=out[row])
     return out
 
 
@@ -297,11 +294,14 @@ def run_ensemble(
         InfeasiblePowerError: if the configured budget cannot cover the
             probe-noise floor (checked once, before any trial runs).
         DegenerateChannelError: if a draw has a zero-norm response.
-        ValueError: on a non-positive trial count, a negative seed, or an
-            unsorted or non-finite grid.
+        ValueError: on a trial count outside [1, MAX_TRIALS], a negative
+            seed, fewer than one worker, or an unsorted or non-finite grid.
+            All are checked before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= 2**32 = {MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if workers < 1:
@@ -363,45 +363,16 @@ def gain_distribution(result: EnsembleResult) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce and locate one ensemble run."""
-
-    config: dict
-    seed: int
-    trials: int
-    version: str
-    outputs: dict
-    infeasible: int
-    elapsed_seconds: float
-
-
 # 17 significant digits: every float64 reads back exactly
 _fmt = "{:.17g}".format
 
 
-def config_as_dict(cfg: SystemConfig) -> dict:
-    d = {
-        "n_A": cfg.n_A,
-        "n_B": cfg.n_B,
-        "n_E": cfg.n_E,
-        "P_A_dB": cfg.P_A_dB,
-        "P_B_dB": cfg.P_B_dB,
-        "sigma2_B": cfg.sigma2_B,
-        "sigma2_A": cfg.sigma2_A,
-        "sigma2_EA": cfg.sigma2_EA,
-        "sigma2_EB": cfg.sigma2_EB,
-        "gamma": cfg.gamma,
-        "power_convention": cfg.power_convention.value,
-    }
-    return d
-
-
-def write_outputs(result: EnsembleResult, outdir) -> RunManifest:
+def write_outputs(result: EnsembleResult, outdir) -> dict:
     """Write samples.csv, outage.csv, histogram.csv and manifest.json.
 
     Floats are written with 17 significant digits so runs reproduce
-    bit-exactly.
+    bit-exactly. Returns the manifest as written; its "config" holds every
+    SystemConfig field plus the grid.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -430,20 +401,20 @@ def write_outputs(result: EnsembleResult, outdir) -> RunManifest:
             for i in range(counts.shape[0]):
                 f.write(f"{name},{_fmt(edges[i])},{_fmt(edges[i + 1])},{counts[i]}\n")
 
-    manifest = RunManifest(
-        config={**config_as_dict(result.cfg), "rs_grid": [float(x) for x in result.rs_grid]},
-        seed=result.seed,
-        trials=result.trials,
-        version=__version__,
-        outputs={
+    manifest = {
+        "config": {**asdict(result.cfg), "rs_grid": result.rs_grid.tolist()},
+        "seed": result.seed,
+        "trials": result.trials,
+        "version": __version__,
+        "outputs": {
             "samples": str(samples),
             "outage": str(outage),
             "histogram": str(hist),
         },
-        infeasible=result.infeasible,
-        elapsed_seconds=result.elapsed,
-    )
+        "infeasible": result.infeasible,
+        "elapsed_seconds": result.elapsed,
+    }
     with open(outdir / "manifest.json", "w", encoding="ascii") as f:
-        json.dump(manifest.__dict__, f, indent=2, sort_keys=True)
+        json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return manifest

@@ -36,6 +36,19 @@ def test_config_rejects_bad_fields():
         _cfg(gamma=-0.1)
 
 
+@pytest.mark.parametrize("name", ["P_A_dB", "P_B_dB"])
+@pytest.mark.parametrize("value", [-100.0, 100.0])
+def test_config_accepts_power_limits(name, value):
+    assert getattr(_cfg(**{name: value}), name) == value
+
+
+@pytest.mark.parametrize("name", ["P_A_dB", "P_B_dB"])
+@pytest.mark.parametrize("value", [-100.5, 100.5, -4000.0, 4000.0])
+def test_config_rejects_powers_beyond_limit(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be in \\[-100, 100\\] dB"):
+        _cfg(**{name: value})
+
+
 @pytest.mark.parametrize(
     "name", ["P_A_dB", "P_B_dB", "sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB", "gamma"]
 )

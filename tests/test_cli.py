@@ -1,10 +1,18 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from steepsim.baseline import conventional
-from steepsim.channel import sample_realization
+from steepsim.channel import PowerConvention, SystemConfig, sample_realization
 from steepsim.cli import load_config_file, main, parse_settings
 from steepsim.steep import c_steep
 
@@ -213,3 +221,140 @@ def test_sdof_constraint_violation(capsys):
     rc = main(["sdof", "--n_A", "4", "--n_E", "2", "--m_A", "2"])
     assert rc == 1
     assert "m_A" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        ["P_A_dB=4000"],
+        ["P_B_dB=-3300", "power_convention=ReferencePBPrime"],
+        ["P_A_dB=-3100", "power_convention=ReferencePBPrime"],
+        ["P_B_dB=100.5"],
+    ],
+)
+def test_power_beyond_limit_exit_code(items, cfg_file, capsys):
+    # the first three used to crash inside the analysis or print NaN rates
+    rc = main(["single", "--config", cfg_file] + [f"--set={item}" for item in items])
+    assert rc == 1
+    err = capsys.readouterr().err
+    key = items[0].split("=")[0]
+    assert err.startswith(f"error: {key} must be in [-100, 100] dB")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--trials", "4294967297"], "trials must be <= 2**32 = 4294967296, got 4294967297"),
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+    ],
+)
+def test_ensemble_run_settings_exit_code(flag, message, cfg_file, tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = main(["ensemble", "--config", cfg_file, "--out", str(out)] + flag)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# one non-default value per SystemConfig field
+FIELD_SAMPLES = {
+    "n_A": 5,
+    "n_E": 3,
+    "P_A_dB": 17.5,
+    "P_B_dB": 33.25,
+    "n_B": 1,
+    "sigma2_B": 0.5,
+    "sigma2_A": 2.0,
+    "sigma2_EA": 0.25,
+    "sigma2_EB": 4.0,
+    "gamma": 0.75,
+    "power_convention": PowerConvention.REFERENCE_PB_PRIME,
+}
+
+
+def test_every_config_field_reaches_manifest(tmp_path, capsys):
+    names = [f.name for f in dataclasses.fields(SystemConfig)]
+    assert sorted(FIELD_SAMPLES) == sorted(names)
+    kv = {name: str(getattr(FIELD_SAMPLES[name], "value", FIELD_SAMPLES[name])) for name in names}
+    cfg, trials, seed, rs_grid = parse_settings(kv)
+    assert trials is None and seed is None and rs_grid is None
+    for name in names:
+        assert getattr(cfg, name) == FIELD_SAMPLES[name]
+        assert type(getattr(cfg, name)) is type(FIELD_SAMPLES[name])
+
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{name} = {raw}\n" for name, raw in kv.items()))
+    out = tmp_path / "run"
+    rc = main(["ensemble", "--config", str(path), "--trials", "20", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    with open(out / "manifest.json") as f:
+        config = json.load(f)["config"]
+    assert sorted(config) == sorted(names + ["rs_grid"])
+    for name in names:
+        assert config[name] == FIELD_SAMPLES[name]
+
+
+# CLI fuzzing: random config files and --set items for `single`
+_DB_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308", "4000", "-3300", "-3100", "100"]),
+    st.integers(min_value=-150, max_value=150).map(str),
+    st.text(alphabet=string.ascii_letters + string.digits + " .,+-_=#", max_size=8),
+)
+_COUNT_TEXT = st.one_of(
+    st.integers(min_value=1, max_value=20).map(str),
+    st.integers(min_value=-3, max_value=0).map(str),
+    st.sampled_from(["2.5", "4.0", "four", "", "1e1", "0x4"]),
+)
+_EXTRA_LINES = st.sampled_from(
+    ["bogus = 1", "n_A 4", "= 3", "# comment only", "", "P_A_dB", "Rs_grid = 0,1,3"]
+)
+
+
+@st.composite
+def _single_inputs(draw):
+    values = {
+        "n_A": draw(_COUNT_TEXT),
+        "n_E": draw(_COUNT_TEXT),
+        "P_A_dB": draw(_DB_TEXT),
+        "P_B_dB": draw(_DB_TEXT),
+        "power_convention": draw(st.sampled_from(["ConsumedPB", "ReferencePBPrime", "Ref"])),
+    }
+    # a key goes missing one time in eight
+    lines = [f"{k}={v}" for k, v in values.items() if draw(st.integers(0, 7))]
+    lines += draw(st.lists(_EXTRA_LINES, max_size=2))
+    in_file = [draw(st.booleans()) for _ in lines]
+    config = "".join(line + "\n" for line, f in zip(lines, in_file) if f)
+    items = [line for line, f in zip(lines, in_file) if not f]
+    return config, items
+
+
+_BASE_LINES = ["n_A=4", "n_E=2", "P_A_dB=20", "P_B_dB=30"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_single_inputs())
+# powers that used to crash with a traceback or print NaN rates
+@example(inputs=("\n".join(_BASE_LINES) + "\n", ["P_A_dB=4000"]))
+@example(inputs=("\n".join(_BASE_LINES) + "\n", ["P_B_dB=-3300", "power_convention=ReferencePBPrime"]))
+@example(inputs=("\n".join(_BASE_LINES) + "\n", ["P_A_dB=-3100", "power_convention=ReferencePBPrime"]))
+def test_single_fuzz_exits_cleanly(inputs):
+    config, items = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(config)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["single", "--config", str(path)] + [f"--set={item}" for item in items])
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert err.getvalue() == ""
+        for line in out.getvalue().splitlines():
+            key, val = line.split(" = ")
+            assert val in ("true", "false") or math.isfinite(float(val)), line
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

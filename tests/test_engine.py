@@ -50,7 +50,7 @@ def _rel_close(a: float, b: float) -> bool:
         (0, 3),
         (BLOCK_TRIALS - 2, BLOCK_TRIALS + 2),  # block boundary
         (343, 345),  # chunk boundary of 1031 trials on 3 workers
-        (2**32 - 2, 2**32 + 2),  # the trial index gains a second seed word
+        (2**32 - 3, 2**32),  # the largest trial indices, below MAX_TRIALS
     ],
 )
 def test_child_normals_match_default_rng(seed, start, stop):

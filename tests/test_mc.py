@@ -9,6 +9,7 @@ from steepsim.channel import InfeasiblePowerError, PowerConvention, SystemConfig
 from steepsim.mc import (
     DEFAULT_RS_GRID,
     HIST_BINS,
+    MAX_TRIALS,
     empirical_outage,
     gain_distribution,
     outage_at,
@@ -140,6 +141,28 @@ def test_negative_seed_rejected():
         run_ensemble(_cfg(), trials=5, seed=-1)
 
 
+@pytest.mark.parametrize("shape", [(17, 1), (1, 9), (16, 8)])
+@pytest.mark.parametrize("convention", list(PowerConvention))
+@pytest.mark.parametrize("P_A_dB, P_B_dB", [(-100.0, -100.0), (100.0, 100.0), (100.0, -100.0), (-100.0, 100.0)])
+def test_power_limits_give_finite_rates(shape, convention, P_A_dB, P_B_dB):
+    n_A, n_E = shape
+    cfg = _cfg(n_A=n_A, n_E=n_E, P_A_dB=P_A_dB, P_B_dB=P_B_dB, power_convention=convention)
+    try:
+        res = run_ensemble(cfg, trials=200, seed=4)
+    except InfeasiblePowerError:
+        assert convention is PowerConvention.CONSUMED_PB
+        return
+    for a in (res.c_steep, res.c_conv, res.gain, res.c1, res.c2):
+        assert np.isfinite(a).all()
+
+
+def test_trial_count_bounded():
+    # rejected up front: a run this large would allocate ~180 GB of samples
+    assert MAX_TRIALS == 2**32
+    with pytest.raises(ValueError, match="trials must be <= 2\\*\\*32"):
+        run_ensemble(_cfg(), trials=MAX_TRIALS + 1, seed=1)
+
+
 def test_default_grid_spans_unit_interval(small_ensemble):
     assert small_ensemble.rs_grid[0] == 0.0
     assert small_ensemble.rs_grid[-1] == 1.0
@@ -175,7 +198,7 @@ def test_write_outputs_layout(tmp_path, small_ensemble):
     assert meta["version"] == steepsim.__version__
     assert meta["config"]["n_E"] == 6
     assert len(meta["config"]["rs_grid"]) == 101
-    assert meta == manifest.__dict__ | {"config": meta["config"]}
+    assert meta == manifest | {"config": meta["config"]}
 
 
 def test_written_samples_identical_across_worker_counts(tmp_path, small_ensemble):
