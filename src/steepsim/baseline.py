@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelRealization, SystemConfig, norm2
 from .linops import DegenerateChannelError
-from .steep import LN2, SteepAnalysis, c_steep
+from .steep import SteepAnalysis, c_steep, log2_ratio
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ def conventional(
     snr_EA = cfg.P_A * norm2(g_A) / cfg.sigma2_EA
     snr_A = cfg.P_B * nh_AB / cfg.sigma2_A
     snr_EB = cfg.P_B * norm2(ch.g_B) / cfg.sigma2_EB
-    c1 = math.log1p((snr_B - snr_EA) / (1.0 + snr_EA)) / LN2
-    c2 = math.log1p((snr_A - snr_EB) / (1.0 + snr_EB)) / LN2
+    c1 = log2_ratio((snr_B - snr_EA) / (1.0 + snr_EA), snr_B, snr_EA)
+    c2 = log2_ratio((snr_A - snr_EB) / (1.0 + snr_EB), snr_A, snr_EB)
     c_conv = max(0.0, c1) + max(0.0, c2)
     if steep is None:
         steep = c_steep(cfg, ch)

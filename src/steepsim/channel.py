@@ -20,10 +20,18 @@ import numpy as np
 from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix
 
 
-# bound on |P_A_dB| and |P_B_dB|: beyond it 10^(dB/10) overflows or
-# underflows, and for n_A > n_E beta's solve loses accuracy (relative error
-# about 4e-17*P_A, i.e. 4e-7 at 100 dB)
+# bound on |P_A_dB| and |P_B_dB|, and on Eve's probe SNR P_A/sigma2_EA in
+# dB: beyond it 10^(dB/10) overflows or underflows, and for n_A > n_E beta's
+# solve loses accuracy (relative error about 4e-17*P_A/sigma2_EA, i.e. 4e-7
+# at 100 dB; at P_A_dB=20 with sigma2_EA=1e-100 it returned a negative beta)
 POWER_DB_LIMIT = 100.0
+# bound on the noise variances: sigma2_* must lie in [1/VARIANCE_LIMIT,
+# VARIANCE_LIMIT]. With powers inside POWER_DB_LIMIT, every SNR and effective
+# noise variance of the closed forms then stays below about 1e126 divided by
+# the draw's smallest squared channel norm, far from float64's overflow at
+# 1.8e308; variances of 1e+-300 gave inf and NaN rates (e.g. P_A_dB=100 with
+# sigma2_B=1e-300)
+VARIANCE_LIMIT = 1e100
 
 
 class InfeasiblePowerError(Exception):
@@ -50,11 +58,13 @@ class SystemConfig:
         n_A: Alice antenna count.
         n_E: Eve antenna count.
         P_A_dB: Alice transmit power in dB relative to unit noise, in
-            [-POWER_DB_LIMIT, POWER_DB_LIMIT].
+            [-POWER_DB_LIMIT, POWER_DB_LIMIT]; P_A_dB - 10*log10(sigma2_EA)
+            is at most POWER_DB_LIMIT too.
         P_B_dB: Bob power in dB, in [-POWER_DB_LIMIT, POWER_DB_LIMIT]; meaning
             depends on power_convention.
         n_B: Bob antenna count, fixed to 1.
-        sigma2_B: noise variance at Bob (probe phase).
+        sigma2_B: noise variance at Bob (probe phase). Each noise variance
+            lies in [1/VARIANCE_LIMIT, VARIANCE_LIMIT].
         sigma2_A: noise variance at Alice (echo phase).
         sigma2_EA: noise variance at Eve during the probe phase.
         sigma2_EB: noise variance at Eve during the echo phase.
@@ -92,8 +102,17 @@ class SystemConfig:
                     f"got {getattr(self, name)}"
                 )
         for name in ("sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 1.0 / VARIANCE_LIMIT <= getattr(self, name) <= VARIANCE_LIMIT:
+                raise ValueError(
+                    f"{name} must be in [{1.0 / VARIANCE_LIMIT:g}, {VARIANCE_LIMIT:g}], "
+                    f"got {getattr(self, name)}"
+                )
+        probe_snr_db = self.P_A_dB - 10.0 * math.log10(self.sigma2_EA)
+        if probe_snr_db > POWER_DB_LIMIT:
+            raise ValueError(
+                f"Eve's probe SNR P_A_dB - 10*log10(sigma2_EA) must be <= "
+                f"{POWER_DB_LIMIT:g} dB, got {probe_snr_db:.6g}"
+            )
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not isinstance(self.power_convention, PowerConvention):

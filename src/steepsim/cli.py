@@ -32,6 +32,14 @@ _EPILOG = "Powers given in dB are converted as linear = 10^(dB/10)."
 # variance tolerances in standard errors, matching the test suite
 _SCALAR_SE_TOL = 3.0
 _MATRIX_SE_TOL = 5.0
+# most Rs_grid points: run_ensemble keeps two outage curves of that length
+# and outage.csv gets a row of up to ~70 bytes per point, so 10^6 points
+# already write ~70 MB; an unbounded count tried to allocate 74.5 GiB
+MAX_RS_POINTS = 10**6
+# most symbols for verify: the signal-level run keeps every symbol of every
+# antenna in memory, about 60 bytes per symbol and antenna (0.6 kB per symbol
+# at n_A=4, n_E=6), so 10^7 symbols already take ~6 GB there
+MAX_VERIFY_M = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,13 +70,14 @@ def _parse_rs_grid(text: str) -> np.ndarray:
     try:
         start, stop, points = text.split(",")
         start, stop, points = float(start), float(stop), int(points)
-        ok = points >= 1 and math.isfinite(start) and math.isfinite(stop) and start <= stop
+        ok = 1 <= points <= MAX_RS_POINTS
+        ok = ok and math.isfinite(start) and math.isfinite(stop) and start <= stop
     except ValueError:
         ok = False
     if not ok:
         raise ValueError(
             f"bad Rs_grid {text!r}: wants start,stop,points with finite start <= stop "
-            "and points >= 1"
+            f"and 1 <= points <= {MAX_RS_POINTS}"
         )
     return np.linspace(start, stop, points)
 
@@ -207,8 +216,8 @@ def cmd_verify(args) -> int:
     try:
         cfg, _, _, _ = _settings_from_args(args)
         _check_seed(args.seed)
-        if args.m < 1000:
-            raise ValueError(f"m must be >= 1000, got {args.m}")
+        if not 1000 <= args.m <= MAX_VERIFY_M:
+            raise ValueError(f"m must be in [1000, {MAX_VERIFY_M}], got {args.m}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

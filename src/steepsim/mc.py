@@ -9,14 +9,17 @@ natural-outage frequency.
 Trials are evaluated in blocks of BLOCK_TRIALS. A block draws one row of
 normals per trial from that trial's child stream, then evaluates the closed
 forms of steep.c_steep and baseline.conventional over a leading trial axis.
+The child streams are numpy's own: the block hashes SeedSequence([seed, t])
+for all its trials at once, and np.random.PCG64 seeds each stream from those
+words in C, exactly as default_rng([seed, t]) would.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
 the scalar API, so every float equals the scalar result bit for bit;
 reference_trial evaluates one trial through the scalar API.
 """
 from __future__ import annotations
 
+import functools
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
@@ -28,7 +31,7 @@ from . import __version__
 from .baseline import conventional
 from .channel import PowerConvention, SystemConfig, echo_budget, sample_realization
 from .linops import DegenerateChannelError
-from .steep import LN2, c_steep
+from .steep import c_steep, log2_ratio
 
 HIST_BINS = 60
 DEFAULT_RS_GRID = np.linspace(0.0, 1.0, 101)
@@ -37,6 +40,10 @@ BLOCK_TRIALS = 512
 # largest trial count: every trial index fits one 32-bit seed word, and the
 # per-trial arrays of such a run already take about 180 GB
 MAX_TRIALS = 2**32
+# most worker processes: each is a forked copy of the parent, and workers
+# beyond the core count only add start-up cost; the bound keeps a mistyped
+# count from forking thousands of processes
+MAX_WORKERS = 256
 
 
 @dataclass
@@ -65,17 +72,15 @@ class EnsembleResult:
     elapsed: float = 0.0
 
 
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
-# The hash constants do not depend on the entropy, so the hashing runs over a
-# whole block of trial indices at once in uint32 arithmetic.
+# numpy's SeedSequence (pool of 4 uint32 words) hashing constants. They do
+# not depend on the entropy, so the hashing runs over a whole block of trial
+# indices at once in uint32 arithmetic.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -100,8 +105,12 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _pcg64_states(seed: int, ts: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence([seed, t])) for each uint32 t in ts."""
+def _pcg64_states(seed: int, ts: np.ndarray) -> np.ndarray:
+    """Row i is SeedSequence([seed, ts[i]]).generate_state(4, np.uint64).
+
+    Those 4 words are what PCG64 seeds its state and increment from; ts holds
+    uint32 trial indices.
+    """
     n = ts.shape[0]
     entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed)]
     entropy.append(ts)
@@ -121,21 +130,44 @@ def _pcg64_states(seed: int, ts: np.ndarray) -> list[tuple[int, int]]:
         for i_dst in range(_POOL_SIZE):
             word, hash_const = _hashmix(entropy[i_src], hash_const)
             pool[i_dst] = _mix(pool[i_dst], word)
-    # SeedSequence.generate_state(4, uint64): 8 words, paired little-endian
+    # SeedSequence.generate_state(4, uint64): 8 uint32 words, which numpy
+    # pairs little-endian on every platform
     hash_const = _INIT_B
-    words = []
+    words = np.empty((n, 8), dtype=np.uint32)
     for i in range(8):
         word = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
         hash_const = (hash_const * _MULT_B) & _MASK32
         word = word * np.uint32(hash_const)
-        words.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
-    s_hi, s_lo, i_hi, i_lo = ((words[2 * j] | (words[2 * j + 1] << 32)).tolist() for j in range(4))
-    states = []
-    for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
-        # pcg_setseq_128_srandom_r: two LCG steps from state 0
-        inc = (((ih << 64) | il) << 1 | 1) & _MASK128
-        states.append((((inc + ((sh << 64) | sl)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+        words[:, i] = word ^ (word >> _XSHIFT)
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that hands precomputed seed words to PCG64.
+
+    Built on first use: subclassing ISeedSequence loads numpy.random, which
+    numpy 2 otherwise loads only when a stream is first drawn.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Rows of _pcg64_states, handed out one per generate_state call.
+
+        PCG64(seq) asks seq once, for 4 uint64 words, and seeds itself from
+        them in C. Any other request raises rather than hand out wrong words.
+        """
+
+        def __init__(self, rows: np.ndarray):
+            self._rows = iter(rows)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 passes the type np.uint64, which skips building a dtype
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ValueError(f"seed words serve 4 uint64 words, not {n_words} of {dtype}")
+            return next(self._rows)
+
+    return SeedWords
 
 
 def _child_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
@@ -144,18 +176,11 @@ def _child_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     Trial indices stay below MAX_TRIALS, so each is one 32-bit seed word.
     """
     out = np.empty((stop - start, width))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
     ts = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
-    states = _pcg64_states(seed, ts)
-    for row, (state, inc) in enumerate(states):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=out[row])
+    seeds = _seed_words_type()(_pcg64_states(seed, ts))
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    for row in out:
+        generator(pcg64(seeds)).standard_normal(out=row)
     return out
 
 
@@ -173,9 +198,12 @@ def _norm2(v: np.ndarray) -> np.ndarray:
     return (v.conj()[:, None, :] @ v[:, :, None])[:, 0, 0].real
 
 
-def _log1p(x: np.ndarray) -> np.ndarray:
-    # math.log1p, as in the scalar API: np.log1p may differ in the last ulp
-    return np.fromiter(map(math.log1p, x.tolist()), dtype=float, count=x.shape[0])
+def _log2_ratio(arg: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # steep.log2_ratio per element, as the scalar API computes it: that
+    # calls math.log1p, and np.log1p may differ in the last ulp
+    return np.fromiter(
+        map(log2_ratio, arg.tolist(), a.tolist(), s.tolist()), dtype=float, count=arg.shape[0]
+    )
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
@@ -230,7 +258,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     var_a = floor + cfg.sigma2_A / (p_b_prime * nh_AB)
     var_e = b + floor + cfg.sigma2_EB / (p_b_prime * ng_B)
     diff = var_e - var_a
-    cs = _clamp(_log1p(diff / (var_a * (1.0 + var_e))) / LN2)
+    cs = _clamp(_log2_ratio(diff / (var_a * (1.0 + var_e)), 1.0 / var_a, 1.0 / var_e))
 
     # baseline.conventional
     g_A = (G_A @ (u / np.sqrt(nh_BA)[:, None])[:, :, None])[:, :, 0]
@@ -238,8 +266,8 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     snr_EA = cfg.P_A * _norm2(g_A) / cfg.sigma2_EA
     snr_A = cfg.P_B * nh_AB / cfg.sigma2_A
     snr_EB = cfg.P_B * ng_B / cfg.sigma2_EB
-    c1 = _log1p((snr_B - snr_EA) / (1.0 + snr_EA)) / LN2
-    c2 = _log1p((snr_A - snr_EB) / (1.0 + snr_EB)) / LN2
+    c1 = _log2_ratio((snr_B - snr_EA) / (1.0 + snr_EA), snr_B, snr_EA)
+    c2 = _log2_ratio((snr_A - snr_EB) / (1.0 + snr_EB), snr_A, snr_EB)
     cc = _clamp(c1) + _clamp(c2)
     return cs, cc, cs - cc, diff <= 0.0, c1, c2
 
@@ -295,8 +323,8 @@ def run_ensemble(
             probe-noise floor (checked once, before any trial runs).
         DegenerateChannelError: if a draw has a zero-norm response.
         ValueError: on a trial count outside [1, MAX_TRIALS], a negative
-            seed, fewer than one worker, or an unsorted or non-finite grid.
-            All are checked before any trial runs.
+            seed, a worker count outside [1, MAX_WORKERS], or an unsorted or
+            non-finite grid. All are checked before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -306,6 +334,8 @@ def run_ensemble(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     grid = DEFAULT_RS_GRID if rs_grid is None else np.asarray(rs_grid, dtype=float)
     finite = grid.ndim == 1 and grid.size >= 1 and np.isfinite(grid).all()
     if not finite or np.any(np.diff(grid) < 0):
@@ -316,10 +346,12 @@ def run_ensemble(
     t0 = time.perf_counter()
     bounds = [trials * i // workers for i in range(workers + 1)]
     jobs = [(cfg, seed, a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if workers == 1:
+    if len(jobs) == 1:
         parts = [_run_chunk(jobs[0])]
     else:
-        with Pool(processes=workers) as pool:
+        # one process per non-empty chunk: with fewer trials than workers,
+        # the extra workers would have nothing to do
+        with Pool(processes=len(jobs)) as pool:
             parts = pool.map(_run_chunk, jobs)
     cs, cc, gn, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))
 
@@ -365,6 +397,8 @@ def gain_distribution(result: EnsembleResult) -> dict:
 
 # 17 significant digits: every float64 reads back exactly
 _fmt = "{:.17g}".format
+# one samples.csv row: %.17g writes what _fmt writes, and a bool flag as 0 or 1
+_SAMPLE_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
 
 
 def write_outputs(result: EnsembleResult, outdir) -> dict:
@@ -380,13 +414,14 @@ def write_outputs(result: EnsembleResult, outdir) -> dict:
     samples = outdir / "samples.csv"
     with open(samples, "w", encoding="ascii", newline="") as f:
         f.write("trial,c_steep,c_conv,gain,natural_outage\n")
-        columns = (
-            map(str, range(result.trials)),
-            *(map(_fmt, a.tolist()) for a in (result.c_steep, result.c_conv, result.gain)),
-            map(str, result.natural_outage.astype(np.uint8).tolist()),
-        )
-        f.write("\n".join(map(",".join, zip(*columns))))
-        f.write("\n")
+        n = result.trials
+        values = [None] * (5 * n)
+        values[0::5] = range(n)
+        values[1::5] = result.c_steep.tolist()
+        values[2::5] = result.c_conv.tolist()
+        values[3::5] = result.gain.tolist()
+        values[4::5] = result.natural_outage.tolist()
+        f.write(_SAMPLE_ROW * n % tuple(values))
 
     outage = outdir / "outage.csv"
     with open(outage, "w", encoding="ascii", newline="") as f:

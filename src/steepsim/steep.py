@@ -25,6 +25,20 @@ from .linops import DegenerateChannelError, hermitian_eig, sample_cn, sample_cn_
 LN2 = math.log(2.0)
 
 
+def log2_ratio(arg: float, a: float, s: float) -> float:
+    """log2(1 + a) - log2(1 + s) for a, s >= 0, given arg = (a - s)/(1 + s).
+
+    The caller computes arg in a form whose floating-point sign is exact,
+    and log1p(arg) keeps that sign. Once s exceeds a by a factor of about
+    1e16, arg rounds to -1, where log1p is undefined; the difference of logs
+    is returned there instead, and with s that large its sign is certainly
+    negative.
+    """
+    if arg <= -1.0:
+        return math.log2(1.0 + a) - math.log2(1.0 + s)
+    return math.log1p(arg) / LN2
+
+
 @dataclass(frozen=True)
 class SteepAnalysis:
     """Derived quantities for one channel realization.
@@ -125,7 +139,7 @@ def c_steep(cfg: SystemConfig, ch: ChannelRealization) -> SteepAnalysis:
     var_a = sigma2_vA(cfg, ch, p_b_prime)
     var_e = sigma2_vE(cfg, ch, p_b_prime, beta_val=b)
     diff = var_e - var_a
-    c = math.log1p(diff / (var_a * (1.0 + var_e))) / LN2
+    c = log2_ratio(diff / (var_a * (1.0 + var_e)), 1.0 / var_a, 1.0 / var_e)
     return SteepAnalysis(
         alpha=cfg.P_A / (cfg.n_A * cfg.sigma2_B),
         beta=b,

@@ -49,6 +49,38 @@ def test_config_rejects_powers_beyond_limit(name, value):
         _cfg(**{name: value})
 
 
+_VARIANCES = ["sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB"]
+
+
+# Eve's probe SNR bound keeps sigma2_EA at or above 1e-20
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in _VARIANCES for value in (1e-100, 1e100)
+     if (name, value) != ("sigma2_EA", 1e-100)] + [("sigma2_EA", 1e-20)],
+)
+def test_config_accepts_variance_limits(name, value):
+    assert getattr(_cfg(P_A_dB=-100.0, **{name: value}), name) == value
+
+
+@pytest.mark.parametrize("name", _VARIANCES)
+@pytest.mark.parametrize("value", [1e-300, 9e-101, 1.1e100, 1e300])
+def test_config_rejects_variances_beyond_limit(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be in \\[1e-100, 1e\\+100\\]"):
+        _cfg(P_A_dB=-100.0, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "P_A_dB, sigma2_EA, ok",
+    [(100.0, 1.0, True), (90.0, 0.1, True), (100.0, 0.5, False), (20.0, 1e-90, False)],
+)
+def test_config_bounds_eve_probe_snr(P_A_dB, sigma2_EA, ok):
+    if ok:
+        _cfg(n_A=16, n_E=8, P_A_dB=P_A_dB, sigma2_EA=sigma2_EA)
+    else:
+        with pytest.raises(ValueError, match="probe SNR .*sigma2_EA.* must be <= 100 dB"):
+            _cfg(n_A=16, n_E=8, P_A_dB=P_A_dB, sigma2_EA=sigma2_EA)
+
+
 @pytest.mark.parametrize(
     "name", ["P_A_dB", "P_B_dB", "sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB", "gamma"]
 )

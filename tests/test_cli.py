@@ -242,11 +242,68 @@ def test_power_beyond_limit_exit_code(items, cfg_file, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["ensemble", "single", "verify"])
+def test_oversized_rs_grid_exit_code(command, cfg_file, tmp_path, capsys):
+    # 10^10 points used to allocate 74.5 GiB in every subcommand
+    out = tmp_path / "x"
+    extra = ["--out", str(out)] if command == "ensemble" else []
+    rc = main([command, "--config", cfg_file, "--set", "Rs_grid=0,1,10000000000"] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: bad Rs_grid '0,1,10000000000': wants start,stop,points with finite "
+        "start <= stop and 1 <= points <= 1000000\n"
+    )
+    assert not out.exists()
+
+
+def test_verify_rejects_oversized_block(cfg_file, capsys):
+    # 10^11 symbols used to end in a 2.91 TiB allocation failure
+    rc = main(["verify", "--config", cfg_file, "--m", "100000000000"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: m must be in [1000, 10000000], got 100000000000\n"
+
+
+def test_tiny_variance_computes(cfg_file, tmp_path, capsys):
+    # used to end in "math domain error": c2's log1p argument rounds to -1
+    sets = ["--set=sigma2_EB=1e-20"]
+    assert main(["single", "--config", cfg_file, "--json"] + sets) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(v) for v in report.values() if not isinstance(v, bool))
+    assert report["c2"] < 0.0
+    out = tmp_path / "x"
+    rc = main(["ensemble", "--config", cfg_file, "--trials", "600", "--out", str(out)] + sets)
+    assert rc == 0
+    rows = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (600, 5) and np.isfinite(rows).all()
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        (["sigma2_EA=1e-300"], "sigma2_EA must be in [1e-100, 1e+100], got 1e-300"),
+        (["sigma2_EB=1e-300"], "sigma2_EB must be in [1e-100, 1e+100], got 1e-300"),
+        (["sigma2_A=1e300"], "sigma2_A must be in [1e-100, 1e+100], got 1e+300"),
+        (["sigma2_EA=1e-20"], "Eve's probe SNR P_A_dB - 10*log10(sigma2_EA) must be <= 100 dB"),
+    ],
+)
+@pytest.mark.parametrize("command", ["ensemble", "single"])
+def test_extreme_variance_exit_code(command, items, message, cfg_file, tmp_path, capsys):
+    out = tmp_path / "x"
+    extra = ["--out", str(out)] if command == "ensemble" else []
+    rc = main([command, "--config", cfg_file] + [f"--set={item}" for item in items] + extra)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, message",
     [
         (["--trials", "4294967297"], "trials must be <= 2**32 = 4294967296, got 4294967297"),
         (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--workers", "100000"], "workers must be <= 256, got 100000"),
     ],
 )
 def test_ensemble_run_settings_exit_code(flag, message, cfg_file, tmp_path, capsys):
@@ -296,7 +353,7 @@ def test_every_config_field_reaches_manifest(tmp_path, capsys):
         assert config[name] == FIELD_SAMPLES[name]
 
 
-# CLI fuzzing: random config files and --set items for `single`
+# CLI fuzzing: random config files and --set items for every subcommand
 _DB_TEXT = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308", "4000", "-3300", "-3100", "100"]),
@@ -308,9 +365,32 @@ _COUNT_TEXT = st.one_of(
     st.integers(min_value=-3, max_value=0).map(str),
     st.sampled_from(["2.5", "4.0", "four", "", "1e1", "0x4"]),
 )
-_EXTRA_LINES = st.sampled_from(
-    ["bogus = 1", "n_A 4", "= 3", "# comment only", "", "P_A_dB", "Rs_grid = 0,1,3"]
+# noise variances spanning 1e-300..1e300, one draw in two from inside the
+# accepted 1e-100..1e100
+_VARIANCE_TEXT = st.builds(
+    "{:.3g}e{}".format,
+    st.floats(min_value=1.0, max_value=9.99),
+    st.one_of(st.integers(min_value=-100, max_value=99), st.integers(min_value=-300, max_value=299)),
 )
+_VARIANCE_KEYS = ("sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB")
+_EXTRA_LINES = st.sampled_from(
+    ["bogus = 1", "n_A 4", "= 3", "# comment only", "", "P_A_dB", "Rs_grid = 0,1,3",
+     "Rs_grid = 0,1,10000000000"]
+)
+
+
+def _file_and_items(draw, lines):
+    """Put each line into the config file or into a --set item, at random."""
+    in_file = [draw(st.booleans()) for _ in lines]
+    config = "".join(line + "\n" for line, f in zip(lines, in_file) if f)
+    items = [line for line, f in zip(lines, in_file) if not f]
+    return config, items
+
+
+def _draw_variances(draw, values):
+    for key in _VARIANCE_KEYS:
+        if draw(st.booleans()):
+            values[key] = draw(_VARIANCE_TEXT)
 
 
 @st.composite
@@ -322,39 +402,112 @@ def _single_inputs(draw):
         "P_B_dB": draw(_DB_TEXT),
         "power_convention": draw(st.sampled_from(["ConsumedPB", "ReferencePBPrime", "Ref"])),
     }
+    _draw_variances(draw, values)
     # a key goes missing one time in eight
     lines = [f"{k}={v}" for k, v in values.items() if draw(st.integers(0, 7))]
     lines += draw(st.lists(_EXTRA_LINES, max_size=2))
-    in_file = [draw(st.booleans()) for _ in lines]
-    config = "".join(line + "\n" for line, f in zip(lines, in_file) if f)
-    items = [line for line, f in zip(lines, in_file) if not f]
-    return config, items
+    return _file_and_items(draw, lines)
 
 
-_BASE_LINES = ["n_A=4", "n_E=2", "P_A_dB=20", "P_B_dB=30"]
+@st.composite
+def _run_inputs(draw):
+    """Configs that parse, so that most examples reach a run; the powers,
+    counts, variances and grid reach their bounds and beyond."""
+    values = {
+        "n_A": draw(st.integers(min_value=0, max_value=8)),
+        "n_E": draw(st.integers(min_value=1, max_value=8)),
+        "P_A_dB": draw(st.floats(min_value=-110.0, max_value=110.0)),
+        "P_B_dB": draw(st.floats(min_value=-110.0, max_value=110.0)),
+        "gamma": draw(st.floats(min_value=0.0, max_value=1.0)),
+        "power_convention": draw(st.sampled_from(list(PowerConvention))).value,
+    }
+    _draw_variances(draw, values)
+    if draw(st.booleans()):
+        values["Rs_grid"] = draw(st.sampled_from(["0,1,3", "0,2,7", "0,1,10000000000"]))
+    return _file_and_items(draw, [f"{k}={v}" for k, v in values.items()])
+
+
+def _run_fuzzed(command, inputs, flags, tmp):
+    """Run one fuzzed command; return (exit code, stdout).
+
+    An exception, an exit code other than 0, 1 and 2, or a failure whose
+    stderr is not one "error: " line fails the test.
+    """
+    config, items = inputs
+    path = Path(tmp) / "fuzz.cfg"
+    path.write_text(config)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(path)] + [f"--set={item}" for item in items] + flags)
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    return rc, out.getvalue()
+
+
+_BASE_TEXT = "n_A=4\nn_E=2\nP_A_dB=20\nP_B_dB=30\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(inputs=_single_inputs())
 # powers that used to crash with a traceback or print NaN rates
-@example(inputs=("\n".join(_BASE_LINES) + "\n", ["P_A_dB=4000"]))
-@example(inputs=("\n".join(_BASE_LINES) + "\n", ["P_B_dB=-3300", "power_convention=ReferencePBPrime"]))
-@example(inputs=("\n".join(_BASE_LINES) + "\n", ["P_A_dB=-3100", "power_convention=ReferencePBPrime"]))
+@example(inputs=(_BASE_TEXT, ["P_A_dB=4000"]))
+@example(inputs=(_BASE_TEXT, ["P_B_dB=-3300", "power_convention=ReferencePBPrime"]))
+@example(inputs=(_BASE_TEXT, ["P_A_dB=-3100", "power_convention=ReferencePBPrime"]))
+# variances that used to crash with "math domain error" or print inf or NaN
+@example(inputs=(_BASE_TEXT, ["sigma2_EB=1e-20"]))
+@example(inputs=(_BASE_TEXT, ["sigma2_EA=1e-300"]))
+@example(inputs=(_BASE_TEXT, ["sigma2_B=1e-300", "sigma2_EA=1e-300", "sigma2_EB=1e-300"]))
+@example(inputs=(_BASE_TEXT, ["P_A_dB=100", "sigma2_B=1e-300"]))
+@example(inputs=(_BASE_TEXT, ["P_A_dB=100", "sigma2_EA=1e-300", "n_A=6"]))
 def test_single_fuzz_exits_cleanly(inputs):
-    config, items = inputs
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.cfg"
-        path.write_text(config)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["single", "--config", str(path)] + [f"--set={item}" for item in items])
-    assert rc in (0, 1, 2)
+        rc, out = _run_fuzzed("single", inputs, [], tmp)
     if rc == 0:
-        assert err.getvalue() == ""
-        for line in out.getvalue().splitlines():
+        for line in out.splitlines():
             key, val = line.split(" = ")
             assert val in ("true", "false") or math.isfinite(float(val)), line
     else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
+        assert out == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inputs=_run_inputs(),
+    trials=st.integers(min_value=-1, max_value=40),
+    seed=st.integers(min_value=-1, max_value=2**70),
+    workers=st.sampled_from([1, 1, 1, 1, 1, 2, 0, 257]),
+)
+@example(inputs=(_BASE_TEXT, ["sigma2_EB=1e-20"]), trials=40, seed=1, workers=1)
+@example(inputs=(_BASE_TEXT, ["Rs_grid=0,1,10000000000"]), trials=5, seed=1, workers=1)
+@example(inputs=(_BASE_TEXT, []), trials=3, seed=1, workers=10**6)
+def test_ensemble_fuzz_exits_cleanly(inputs, trials, seed, workers):
+    flags = ["--trials", str(trials), "--seed", str(seed), "--workers", str(workers)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        rc, out = _run_fuzzed("ensemble", inputs, flags + ["--out", str(out_dir)], tmp)
+        if rc == 0:
+            rows = np.loadtxt(out_dir / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert rows.shape == (trials, 5) and np.isfinite(rows).all()
+        else:
+            assert out == "" and not out_dir.exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inputs=_run_inputs(),
+    seed=st.integers(min_value=-1, max_value=2**70),
+    m=st.integers(min_value=999, max_value=3000),
+)
+@example(inputs=(_BASE_TEXT, []), seed=1, m=10**11)
+@example(inputs=(_BASE_TEXT, []), seed=1, m=10**7 + 1)
+@example(inputs=(_BASE_TEXT, ["sigma2_EB=1e-20"]), seed=1, m=1000)
+def test_verify_fuzz_exits_cleanly(inputs, seed, m):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, out = _run_fuzzed("verify", inputs, ["--seed", str(seed), "--m", str(m)], tmp)
+    if rc == 1:
+        assert out == ""
+    assert "nan" not in out and "inf" not in out

@@ -8,24 +8,33 @@ bytes at any worker count.
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from steepsim.channel import PowerConvention, SystemConfig
+from steepsim.baseline import conventional
+from steepsim.channel import ChannelRealization, PowerConvention, SystemConfig
 from steepsim.linops import DegenerateChannelError
+import steepsim.mc as mc
 from steepsim.mc import (
     BLOCK_TRIALS,
+    MAX_WORKERS,
     _analyze_block,
     _child_normals,
     _normals_per_trial,
+    _pcg64_states,
     _run_chunk,
+    _seed_words_type,
     reference_trial,
     run_ensemble,
     write_outputs,
 )
+from steepsim.steep import c_steep
 
 DATA = Path(__file__).parent / "data"
 REL_TOL = 1e-12
@@ -62,6 +71,94 @@ def test_child_normals_match_default_rng(seed, start, stop):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+@pytest.mark.parametrize(
+    "n_words, dtype",
+    [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64), (4, ">u8")],
+)
+def test_seed_words_serve_only_four_uint64_words(n_words, dtype):
+    rows = _pcg64_states(7, np.arange(3, dtype=np.uint32))
+    seeds = _seed_words_type()(rows)
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        seeds.generate_state(n_words, dtype)
+
+
+def test_seed_words_hand_out_rows_in_order():
+    rows = _pcg64_states(7, np.arange(3, dtype=np.uint32))
+    seeds = _seed_words_type()(rows)
+    for row, dtype in zip(rows, (np.uint64, "u8", np.dtype(np.uint64))):
+        got = seeds.generate_state(4, dtype)
+        assert got.dtype == np.uint64 and got.tolist() == row.tolist()
+    want = np.random.SeedSequence([7, 1]).generate_state(4, np.uint64)
+    assert rows[1].tolist() == want.tolist()
+
+
+_IMPORT_CHECK = """
+import sys
+import numpy
+before = "numpy.random" in sys.modules
+import steepsim.cli
+print(before, "numpy.random" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy 2 loads numpy.random on first use; the seed words must not load
+    # it at import, which would move its cost into every CLI start-up
+    src = Path(__file__).parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHECK], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert out == ["False", "False"]
+
+
+# the Pool: one process per non-empty chunk
+
+@pytest.mark.parametrize(
+    "trials, workers, pool_sizes",
+    [(1, 8, []), (3, 8, [3]), (3, MAX_WORKERS, [3]), (10, 4, [4]), (600, 1, [])],
+)
+def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatch):
+    sizes, chunks = [], []
+
+    class StandInPool:
+        """Records the pool size and runs the chunks in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    def run_chunk(job):
+        chunks.append(job[2:])
+        return _run_chunk(job)
+
+    monkeypatch.setattr(mc, "Pool", StandInPool)
+    monkeypatch.setattr(mc, "_run_chunk", run_chunk)
+    cfg = _cfg()
+    got = run_ensemble(cfg, trials=trials, seed=4, workers=workers)
+    assert sizes == pool_sizes
+    n_jobs = min(trials, workers)
+    assert chunks == [(trials * i // n_jobs, trials * (i + 1) // n_jobs) for i in range(n_jobs)]
+    want = run_ensemble(cfg, trials=trials, seed=4)
+    assert got.c_steep.tobytes() == want.c_steep.tobytes()
+
+
+def test_worker_count_bounded(monkeypatch):
+    monkeypatch.setattr(mc, "Pool", None)  # nothing may start a pool
+    with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}"):
+        run_ensemble(_cfg(), trials=10**6, seed=1, workers=MAX_WORKERS + 1)
+
+
 # differential test against the scalar API
 
 @settings(max_examples=60, deadline=None)
@@ -94,6 +191,39 @@ def test_engine_matches_scalar_api(n_A, n_E, convention, gamma, P_A_dB, P_B_dB, 
             (want[0], want[1], want[2], want[4], want[5]),
         ):
             assert _rel_close(a, b), f"trial {start + i}: {name} {a!r} != {b!r}"
+
+
+def _realization(cfg, row):
+    """The scalar API's realization from one row of block normals."""
+    n_A, n_E = cfg.n_A, cfg.n_E
+    parts = np.split(row, np.cumsum([n_A] * 4 + [n_E] * 2 + [n_E * n_A]))
+    h_BA, w, g_B, G_A = (
+        (re + 1j * im).reshape(shape) / np.sqrt(2.0)
+        for re, im, shape in zip(parts[0::2], parts[1::2], [(n_A,), (n_A,), (n_E,), (n_E, n_A)])
+    )
+    h_AB = cfg.gamma * h_BA + (1.0 - cfg.gamma) * w
+    return ChannelRealization(h_BA=h_BA, h_AB=h_AB, G_A=G_A, g_B=g_B)
+
+
+def test_engine_matches_scalar_api_where_log1p_is_undefined():
+    # a downlink 1e-10 times smaller than drawn, with tiny noise, puts
+    # sigma2_vE below 1e-16 * sigma2_vA; the log1p argument of c_steep then
+    # rounds to -1, and c2's does too through Eve's 1e-20 echo-phase noise
+    cfg = _cfg(gamma=0.0, sigma2_B=1e-100, sigma2_EB=1e-20,
+               power_convention=PowerConvention.REFERENCE_PB_PRIME)
+    z = _child_normals(3, 0, 16, _normals_per_trial(cfg))
+    z[:, : 2 * cfg.n_A] *= 1e-10
+    got = _analyze_block(cfg, z, 3, 0)
+    for i, row in enumerate(z):
+        ch = _realization(cfg, row)
+        sa = c_steep(cfg, ch)
+        ba = conventional(cfg, ch, steep=sa)
+        var_a, var_e = sa.sigma2_vA, sa.sigma2_vE
+        assert (var_e - var_a) / (var_a * (1.0 + var_e)) == -1.0
+        assert (ba.snr_A - ba.snr_EB) / (1.0 + ba.snr_EB) == -1.0
+        want = (sa.c_steep_clamped, ba.c_conv, ba.gain, sa.natural_outage, ba.c1, ba.c2)
+        assert [float(col[i]) for col in got] == [float(x) for x in want]
+        assert sa.natural_outage and -math.inf < sa.c_steep < 0.0 and -math.inf < ba.c2 < 0.0
 
 
 # golden runs: samples.csv written by `steepsim ensemble --trials 64` when

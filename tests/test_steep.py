@@ -20,6 +20,7 @@ from steepsim.steep import (
     c_steep,
     c_steep_asymptotic_nA_le_nE,
     c_steep_large_pb,
+    log2_ratio,
     mmse_residual_cov,
     natural_outage_condition,
     outage_power_threshold,
@@ -115,6 +116,29 @@ def test_secrecy_rate_sign_tracks_variance_order():
         assert sa.natural_outage == (sa.c_steep <= 0.0)
         signs.add(sa.c_steep > 0.0)
     assert signs == {True, False}, "seed should exercise both outage outcomes"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=1e200),
+    s=st.floats(min_value=0.0, max_value=1e200),
+)
+def test_log2_ratio_keeps_log1p_above_minus_one(a, s):
+    arg = (a - s) / (1.0 + s)
+    if arg > -1.0:
+        assert log2_ratio(arg, a, s) == math.log1p(arg) / LN2
+    else:
+        assert log2_ratio(arg, a, s) == math.log2(1.0 + a) - math.log2(1.0 + s) < 0.0
+
+
+@pytest.mark.parametrize("a, s", [(1.0, 1e17), (0.0, 1e16), (1e-300, 1e300), (1e3, 1e40)])
+def test_log2_ratio_where_log1p_is_undefined(a, s):
+    # (a - s)/(1 + s) rounds to exactly -1, where math.log1p raises
+    arg = (a - s) / (1.0 + s)
+    assert arg == -1.0
+    got = log2_ratio(arg, a, s)
+    assert got < 0.0
+    assert got == pytest.approx(math.log2((1.0 + a) / (1.0 + s)) if s < 1e300 else -math.log2(s))
 
 
 def test_outage_threshold_brackets_flag():
