@@ -32,6 +32,12 @@ POWER_DB_LIMIT = 100.0
 # 1.8e308; variances of 1e+-300 gave inf and NaN rates (e.g. P_A_dB=100 with
 # sigma2_B=1e-300)
 VARIANCE_LIMIT = 1e100
+# bound on n_A and n_E. At 32 each, an ensemble block of 512 trials holds
+# G_A and the Gram matrix in 8.4 MB each (16*512*32*32 bytes), and verify's
+# draw buffer for its longest run, 10^7 symbols, takes 10.4 GB
+# (16*(n_A + n_E + 1) bytes per symbol); n_A = n_E = 20000 asked for 2.98
+# GiB for one realization's G_A, and n_A = n_E = 3000 for ~69 GiB per block
+MAX_ANTENNAS = 32
 
 
 class InfeasiblePowerError(Exception):
@@ -55,8 +61,8 @@ class SystemConfig:
     """Static system parameters.
 
     Args:
-        n_A: Alice antenna count.
-        n_E: Eve antenna count.
+        n_A: Alice antenna count, in [1, MAX_ANTENNAS].
+        n_E: Eve antenna count, in [1, MAX_ANTENNAS].
         P_A_dB: Alice transmit power in dB relative to unit noise, in
             [-POWER_DB_LIMIT, POWER_DB_LIMIT]; P_A_dB - 10*log10(sigma2_EA)
             is at most POWER_DB_LIMIT too.
@@ -89,10 +95,11 @@ class SystemConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.n_A < 1:
-            raise ValueError(f"n_A must be >= 1, got {self.n_A}")
-        if self.n_E < 1:
-            raise ValueError(f"n_E must be >= 1, got {self.n_E}")
+        for name in ("n_A", "n_E"):
+            if not 1 <= getattr(self, name) <= MAX_ANTENNAS:
+                raise ValueError(
+                    f"{name} must be in [1, {MAX_ANTENNAS}], got {getattr(self, name)}"
+                )
         if self.n_B != 1:
             raise ValueError(f"n_B is fixed to 1, got {self.n_B}")
         for name in ("P_A_dB", "P_B_dB"):

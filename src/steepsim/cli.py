@@ -36,9 +36,10 @@ _MATRIX_SE_TOL = 5.0
 # and outage.csv gets a row of up to ~70 bytes per point, so 10^6 points
 # already write ~70 MB; an unbounded count tried to allocate 74.5 GiB
 MAX_RS_POINTS = 10**6
-# most symbols for verify: the signal-level run keeps every symbol of every
-# antenna in memory, about 60 bytes per symbol and antenna (0.6 kB per symbol
-# at n_A=4, n_E=6), so 10^7 symbols already take ~6 GB there
+# most symbols for verify: the signal-level run keeps one phase's normals and
+# three complex vectors per symbol, 16*(n_A + n_E + 4) bytes (224 B at n_A=4,
+# n_E=6; 1.1 kB at n_A = n_E = MAX_ANTENNAS), so 10^7 symbols take ~2.2 GB
+# there and ~11 GB at the antenna bound
 MAX_VERIFY_M = 10**7
 
 

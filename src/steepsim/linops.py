@@ -19,6 +19,23 @@ class DegenerateChannelError(Exception):
     """A channel draw or derived matrix is too degenerate to analyze."""
 
 
+# numpy divides (re + 1j*im) by the real sqrt(2) through Smith's algorithm,
+# which multiplies each part by 1/sqrt(2): the same bits as below
+_CN_SCALE = 1.0 / np.sqrt(2.0)
+
+
+def cn_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """CN(0,1) entries from standard normal real and imaginary parts.
+
+    Equals (re + 1j*im)/np.sqrt(2.0) bit for bit, without its complex
+    temporaries. The result is a new C-contiguous array of re's shape.
+    """
+    z = np.empty(re.shape, dtype=complex)
+    np.multiply(re, _CN_SCALE, out=z.real)
+    np.multiply(im, _CN_SCALE, out=z.imag)
+    return z
+
+
 def sample_cn(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a length-dim vector of i.i.d. CN(0,1) entries.
 
@@ -29,7 +46,7 @@ def sample_cn(dim: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"dim must be >= 1, got {dim}")
     re = rng.standard_normal(dim)
     im = rng.standard_normal(dim)
-    return (re + 1j * im) / np.sqrt(2.0)
+    return cn_from_normals(re, im)
 
 
 def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -38,7 +55,7 @@ def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarr
         raise ValueError(f"matrix dims must be positive, got {rows}x{cols}")
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    return cn_from_normals(re, im)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .baseline import conventional
 from .channel import PowerConvention, SystemConfig, echo_budget, sample_realization
-from .linops import DegenerateChannelError
+from .linops import DegenerateChannelError, cn_from_normals
 from .steep import c_steep, log2_ratio
 
 HIST_BINS = 60
@@ -226,7 +226,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     n_A, n_E, k = cfg.n_A, cfg.n_E, z.shape[0]
     parts = np.split(z, np.cumsum([n_A] * 4 + [n_E] * 2 + [n_E * n_A]), axis=1)
     h_BA, w, g_B, G_A = (
-        (re.reshape(k, *shape) + 1j * im.reshape(k, *shape)) / np.sqrt(2.0)
+        cn_from_normals(re.reshape(k, *shape), im.reshape(k, *shape))
         for re, im, shape in zip(parts[0::2], parts[1::2], [(n_A,), (n_A,), (n_E,), (n_E, n_A)])
     )
     h_AB = cfg.gamma * h_BA + (1.0 - cfg.gamma) * w

@@ -5,105 +5,89 @@ and runs the closed-form receivers on them, serving as an empirical oracle
 for the analytic effective-noise variances. All quantities are conditioned on
 the channel realization: the only randomness is probes, secrets and noise.
 
-The noise_scale hook exists for exactness tests (noise_scale=0 must reproduce
-the ideal signal chain bit-for-bit up to rounding).
+The signal chain is four steps on drawn unit-variance CN(0,1) waveforms, one
+column per symbol: run_phase1, run_phase2, alice_receiver and eve_receiver.
+variance_report is the one place that draws. It runs the steps over column
+blocks of SYMBOL_BLOCK symbols, in one pass per phase, and keeps only three
+length-m vectors between the passes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization, SystemConfig, norm2, reference_power
 from . import steep as _steep
-from .linops import sample_cn, sample_cn_matrix
+from .linops import cn_from_normals
+# not called here: the benchmark's tracer wraps them under steepsim.sigsim
+from .linops import sample_cn, sample_cn_matrix  # noqa: F401
 
-
-@dataclass
-class SignalTrace:
-    """Waveforms for one realization over m symbol intervals.
-
-    Filled progressively: phase 1 populates the probe-side fields, phase 2
-    the echo-side fields, and the receivers attach their outputs. r_A - s and
-    r_E - s are the realized effective noises whose variances the closed
-    forms predict.
-    """
-
-    X_A: np.ndarray
-    y_B: np.ndarray
-    Y_EA: np.ndarray
-    s: np.ndarray | None = None
-    Y_A: np.ndarray | None = None
-    Y_EB: np.ndarray | None = None
-    X_hat: np.ndarray | None = None
-    r_A: np.ndarray | None = None
-    r_E: np.ndarray | None = None
+# symbols per column block of variance_report: a block array takes 64 kB per
+# antenna row (16 bytes per complex symbol), not the 16*m bytes of an array
+# over the whole run (8 MB at m = 500 000)
+SYMBOL_BLOCK = 4096
 
 
 def run_phase1(
     cfg: SystemConfig,
     ch: ChannelRealization,
-    m: int,
-    rng: np.random.Generator,
-    noise_scale: float = 1.0,
-) -> SignalTrace:
-    """Probe phase: Alice sends sqrt(P_A/n_A)*X_A, Bob and Eve listen."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    X_A: np.ndarray,
+    w_B: np.ndarray,
+    W_EA: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probe phase: Alice sends sqrt(P_A/n_A)*X_A, Bob and Eve listen.
+
+    X_A (n_A x k), Bob's noise w_B (k) and Eve's noise W_EA (n_E x k) are
+    unit-variance waveforms. Returns Bob's observation y_B and Eve's Y_EA.
+    """
     amp = math.sqrt(cfg.P_A / cfg.n_A)
-    X_A = sample_cn_matrix(cfg.n_A, m, rng)
-    w_B = (noise_scale * math.sqrt(cfg.sigma2_B)) * sample_cn(m, rng)
-    W_EA = (noise_scale * math.sqrt(cfg.sigma2_EA)) * sample_cn_matrix(cfg.n_E, m, rng)
-    y_B = amp * (ch.h_BA @ X_A) + w_B
-    Y_EA = amp * (ch.G_A @ X_A) + W_EA
-    return SignalTrace(X_A=X_A, y_B=y_B, Y_EA=Y_EA)
+    y_B = amp * (ch.h_BA @ X_A) + math.sqrt(cfg.sigma2_B) * w_B
+    Y_EA = amp * (ch.G_A @ X_A) + math.sqrt(cfg.sigma2_EA) * W_EA
+    return y_B, Y_EA
 
 
 def run_phase2(
     cfg: SystemConfig,
     ch: ChannelRealization,
-    trace: SignalTrace,
+    y_B: np.ndarray,
     P_B_prime: float,
-    rng: np.random.Generator,
-    noise_scale: float = 1.0,
-) -> SignalTrace:
-    """Echo phase: Bob sends sqrt(P_B')*(s + sqrt(n_A/P_A)*y_B)."""
-    m = trace.y_B.shape[0]
-    s = sample_cn(m, rng)
-    W_A = (noise_scale * math.sqrt(cfg.sigma2_A)) * sample_cn_matrix(cfg.n_A, m, rng)
-    W_EB = (noise_scale * math.sqrt(cfg.sigma2_EB)) * sample_cn_matrix(cfg.n_E, m, rng)
-    echo = s + math.sqrt(cfg.n_A / cfg.P_A) * trace.y_B
+    s: np.ndarray,
+    W_A: np.ndarray,
+    W_EB: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Echo phase: Bob sends sqrt(P_B')*(s + sqrt(n_A/P_A)*y_B).
+
+    The secret s (k), Alice's noise W_A (n_A x k) and Eve's noise W_EB
+    (n_E x k) are unit-variance waveforms. Returns Alice's observation Y_A
+    and Eve's Y_EB.
+    """
+    echo = s + math.sqrt(cfg.n_A / cfg.P_A) * y_B
     amp = math.sqrt(P_B_prime)
-    trace.s = s
-    trace.Y_A = amp * np.outer(ch.h_AB, echo) + W_A
-    trace.Y_EB = amp * np.outer(ch.g_B, echo) + W_EB
-    return trace
+    Y_A = amp * np.outer(ch.h_AB, echo) + math.sqrt(cfg.sigma2_A) * W_A
+    Y_EB = amp * np.outer(ch.g_B, echo) + math.sqrt(cfg.sigma2_EB) * W_EB
+    return Y_A, Y_EB
 
 
 def known_probe_term(
-    ch: ChannelRealization, trace: SignalTrace, P_B_prime: float
+    ch: ChannelRealization, hx_A: np.ndarray, P_B_prime: float
 ) -> np.ndarray:
     """The probe component of Y_A that Alice can reconstruct and cancel.
 
     Inside Bob's echo the probe amplitude sqrt(P_A/n_A) and the echo rescale
     sqrt(n_A/P_A) cancel, so the reconstructable term is
-    sqrt(P_B') * h_AB h_BA^T X_A with the unit-variance X_A.
+    sqrt(P_B') * h_AB h_BA^T X_A with the unit-variance X_A; hx_A is
+    h_BA^T X_A.
     """
-    return math.sqrt(P_B_prime) * np.outer(ch.h_AB, ch.h_BA @ trace.X_A)
+    return math.sqrt(P_B_prime) * np.outer(ch.h_AB, hx_A)
 
 
 def alice_receiver(
-    cfg: SystemConfig,
-    ch: ChannelRealization,
-    trace: SignalTrace,
-    P_B_prime: float,
+    ch: ChannelRealization, Y_A: np.ndarray, hx_A: np.ndarray, P_B_prime: float
 ) -> np.ndarray:
     """Alice's sufficient statistic r_A = s + v_A after probe cancellation."""
-    y_prime = trace.Y_A - known_probe_term(ch, trace, P_B_prime)
-    r_A = (ch.h_AB.conj() @ y_prime) / (math.sqrt(P_B_prime) * norm2(ch.h_AB))
-    trace.r_A = r_A
-    return r_A
+    y_prime = Y_A - known_probe_term(ch, hx_A, P_B_prime)
+    return (ch.h_AB.conj() @ y_prime) / (math.sqrt(P_B_prime) * norm2(ch.h_AB))
 
 
 def mmse_gain(cfg: SystemConfig, ch: ChannelRealization) -> np.ndarray:
@@ -119,19 +103,24 @@ def mmse_gain(cfg: SystemConfig, ch: ChannelRealization) -> np.ndarray:
 
 
 def eve_receiver(
-    cfg: SystemConfig,
-    ch: ChannelRealization,
-    trace: SignalTrace,
-    P_B_prime: float,
+    ch: ChannelRealization, Y_EB: np.ndarray, hx_hat: np.ndarray, P_B_prime: float
 ) -> np.ndarray:
-    """Eve's statistic r_E = s + v_E via MMSE probe estimation and cancellation."""
-    X_hat = mmse_gain(cfg, ch) @ trace.Y_EA
-    cancel = math.sqrt(P_B_prime) * np.outer(ch.g_B, ch.h_BA @ X_hat)
-    resid = trace.Y_EB - cancel
-    r_E = (ch.g_B.conj() @ resid) / (math.sqrt(P_B_prime) * norm2(ch.g_B))
-    trace.X_hat = X_hat
-    trace.r_E = r_E
-    return r_E
+    """Eve's statistic r_E = s + v_E after cancelling her probe estimate.
+
+    hx_hat is h_BA^T X_hat for Eve's MMSE estimate X_hat = mmse_gain @ Y_EA.
+    """
+    resid = Y_EB - math.sqrt(P_B_prime) * np.outer(ch.g_B, hx_hat)
+    return (ch.g_B.conj() @ resid) / (math.sqrt(P_B_prime) * norm2(ch.g_B))
+
+
+def _cn_parts(buf: np.ndarray, shapes) -> list:
+    """(re, im) views of buf for CN draws of the given shapes, in draw order."""
+    parts, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        parts.append((buf[lo:lo + size].reshape(shape), buf[lo + size:lo + 2 * size].reshape(shape)))
+        lo += 2 * size
+    return parts
 
 
 def variance_report(
@@ -147,22 +136,49 @@ def variance_report(
     comparison. The variance estimators average |v|^2 over m symbols, so
     each has standard error (analytic value)/sqrt(m); covariance entries have
     standard error sqrt(R_ii*R_jj/m).
-    """
-    p_b_prime = reference_power(cfg, ch)
-    trace = run_phase1(cfg, ch, m, rng)
-    run_phase2(cfg, ch, trace, p_b_prime, rng)
-    alice_receiver(cfg, ch, trace, p_b_prime)
-    eve_receiver(cfg, ch, trace, p_b_prime)
 
-    v_A = trace.r_A - trace.s
-    v_E = trace.r_E - trace.s
+    Each phase fills one buffer of 2*m*(n_A + n_E + 1) normals with a single
+    draw, in the order and count of the phase's three sample_cn and
+    sample_cn_matrix calls (X_A, w_B, W_EA, then s, W_A, W_EB), so rng ends
+    where those six calls leave it. Pass 1 keeps y_B, h_BA^T X_A and
+    h_BA^T X_hat for pass 2, which reuses the buffer: about
+    16*(n_A + n_E + 4) bytes per symbol in all.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    n_A, n_E = cfg.n_A, cfg.n_E
+    p_b_prime = reference_power(cfg, ch)
+    gain = mmse_gain(cfg, ch)
+    blocks = [(a, min(a + SYMBOL_BLOCK, m)) for a in range(0, m, SYMBOL_BLOCK)]
+    buf = np.empty(2 * m * (n_A + n_E + 1))
+
+    rng.standard_normal(out=buf)
+    parts = _cn_parts(buf, [(n_A, m), (m,), (n_E, m)])
+    y_B, hx_A, hx_hat = (np.empty(m, dtype=complex) for _ in range(3))
+    delta_gram = np.zeros((n_A, n_A), dtype=complex)
+    for a, b in blocks:
+        X_A, w_B, W_EA = (cn_from_normals(re[..., a:b], im[..., a:b]) for re, im in parts)
+        y_B[a:b], Y_EA = run_phase1(cfg, ch, X_A, w_B, W_EA)
+        X_hat = gain @ Y_EA
+        hx_A[a:b] = ch.h_BA @ X_A
+        hx_hat[a:b] = ch.h_BA @ X_hat
+        delta = X_A - X_hat
+        delta_gram += delta @ delta.conj().T
+
+    rng.standard_normal(out=buf)
+    parts = _cn_parts(buf, [(m,), (n_A, m), (n_E, m)])
+    sum_a = sum_e = 0.0
+    for a, b in blocks:
+        s, W_A, W_EB = (cn_from_normals(re[..., a:b], im[..., a:b]) for re, im in parts)
+        Y_A, Y_EB = run_phase2(cfg, ch, y_B[a:b], p_b_prime, s, W_A, W_EB)
+        r_A = alice_receiver(ch, Y_A, hx_A[a:b], p_b_prime)
+        r_E = eve_receiver(ch, Y_EB, hx_hat[a:b], p_b_prime)
+        sum_a += float(np.sum(np.abs(r_A - s) ** 2))
+        sum_e += float(np.sum(np.abs(r_E - s) ** 2))
+
     var_a = _steep.sigma2_vA(cfg, ch, p_b_prime)
     var_e = _steep.sigma2_vE(cfg, ch, p_b_prime)
-    var_a_emp = float(np.mean(np.abs(v_A) ** 2))
-    var_e_emp = float(np.mean(np.abs(v_E) ** 2))
-
-    delta = trace.X_A - trace.X_hat
-    cov_emp = (delta @ delta.conj().T) / m
+    cov_emp = delta_gram / m
     cov = _steep.mmse_residual_cov(cfg, ch.G_A)
     d = np.real(np.diag(cov))
     cov_se = np.sqrt(np.outer(d, d) / m)
@@ -171,29 +187,13 @@ def variance_report(
         "m": m,
         "p_b_prime": p_b_prime,
         "sigma2_vA": var_a,
-        "sigma2_vA_emp": var_a_emp,
+        "sigma2_vA_emp": sum_a / m,
         "sigma2_vA_se": var_a / math.sqrt(m),
         "sigma2_vE": var_e,
-        "sigma2_vE_emp": var_e_emp,
+        "sigma2_vE_emp": sum_e / m,
         "sigma2_vE_se": var_e / math.sqrt(m),
         "cov_delta": cov,
         "cov_delta_emp": cov_emp,
         "cov_delta_se": cov_se,
         "cov_max_dev_se": float(np.max(np.abs(cov_emp - cov) / cov_se)),
-        "trace": trace,
     }
-
-
-def trace_to_csv(trace: SignalTrace, path) -> None:
-    """Dump per-symbol secret and receiver outputs for external inspection."""
-    if trace.s is None or trace.r_A is None or trace.r_E is None:
-        raise ValueError("trace is incomplete; run both phases and receivers first")
-    with open(path, "w", encoding="ascii", newline="") as f:
-        f.write("k,s_re,s_im,r_A_re,r_A_im,r_E_re,r_E_im\n")
-        for k in range(trace.s.shape[0]):
-            vals = (
-                trace.s[k].real, trace.s[k].imag,
-                trace.r_A[k].real, trace.r_A[k].imag,
-                trace.r_E[k].real, trace.r_E[k].imag,
-            )
-            f.write(str(k) + "," + ",".join(f"{v:.17g}" for v in vals) + "\n")

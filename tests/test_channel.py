@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steepsim.channel import (
+    MAX_ANTENNAS,
     InfeasiblePowerError,
     PowerConvention,
     SystemConfig,
@@ -47,6 +48,14 @@ def test_config_accepts_power_limits(name, value):
 def test_config_rejects_powers_beyond_limit(name, value):
     with pytest.raises(ValueError, match=f"{name} must be in \\[-100, 100\\] dB"):
         _cfg(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["n_A", "n_E"])
+def test_config_bounds_antenna_counts(name):
+    assert getattr(_cfg(**{name: MAX_ANTENNAS}), name) == MAX_ANTENNAS
+    for value in (MAX_ANTENNAS + 1, 20000):
+        with pytest.raises(ValueError, match=f"^{name} must be in \\[1, {MAX_ANTENNAS}\\], got {value}$"):
+            _cfg(**{name: value})
 
 
 _VARIANCES = ["sigma2_B", "sigma2_A", "sigma2_EA", "sigma2_EB"]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from steepsim.baseline import conventional
-from steepsim.channel import PowerConvention, SystemConfig, sample_realization
+from steepsim.channel import MAX_ANTENNAS, PowerConvention, SystemConfig, sample_realization
 from steepsim.cli import load_config_file, main, parse_settings
 from steepsim.steep import c_steep
 
@@ -263,6 +263,26 @@ def test_verify_rejects_oversized_block(cfg_file, capsys):
     assert capsys.readouterr().err == "error: m must be in [1000, 10000000], got 100000000000\n"
 
 
+@pytest.mark.parametrize("command", ["single", "ensemble", "verify"])
+@pytest.mark.parametrize("key", ["n_A", "n_E"])
+def test_antenna_count_bound_exit_code(command, key, cfg_file, tmp_path, capsys):
+    # n_A = n_E = 20000 used to end in an allocation traceback
+    out = tmp_path / "x"
+    extra = {"single": [], "ensemble": ["--trials", "20", "--out", str(out)],
+             "verify": ["--m", "1000"]}[command]
+    rc = main([command, "--config", cfg_file, f"--set={key}={MAX_ANTENNAS}"] + extra)
+    assert rc == 0
+    capsys.readouterr()
+    for value in (MAX_ANTENNAS + 1, 20000):
+        rc = main([command, "--config", cfg_file, f"--set={key}={value}"] + extra)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {key} must be in [1, {MAX_ANTENNAS}], got {value}\n"
+        )
+    if command == "ensemble":
+        assert (out / "samples.csv").exists()
+
+
 def test_tiny_variance_computes(cfg_file, tmp_path, capsys):
     # used to end in "math domain error": c2's log1p argument rounds to -1
     sets = ["--set=sigma2_EB=1e-20"]
@@ -360,8 +380,11 @@ _DB_TEXT = st.one_of(
     st.integers(min_value=-150, max_value=150).map(str),
     st.text(alphabet=string.ascii_letters + string.digits + " .,+-_=#", max_size=8),
 )
+# antenna counts at the bound and past it reach the same exit paths
+_BOUND_COUNTS = st.sampled_from([MAX_ANTENNAS, MAX_ANTENNAS + 1, 20000])
 _COUNT_TEXT = st.one_of(
     st.integers(min_value=1, max_value=20).map(str),
+    _BOUND_COUNTS.map(str),
     st.integers(min_value=-3, max_value=0).map(str),
     st.sampled_from(["2.5", "4.0", "four", "", "1e1", "0x4"]),
 )
@@ -414,8 +437,8 @@ def _run_inputs(draw):
     """Configs that parse, so that most examples reach a run; the powers,
     counts, variances and grid reach their bounds and beyond."""
     values = {
-        "n_A": draw(st.integers(min_value=0, max_value=8)),
-        "n_E": draw(st.integers(min_value=1, max_value=8)),
+        "n_A": draw(st.one_of(st.integers(min_value=0, max_value=8), _BOUND_COUNTS)),
+        "n_E": draw(st.one_of(st.integers(min_value=1, max_value=8), _BOUND_COUNTS)),
         "P_A_dB": draw(st.floats(min_value=-110.0, max_value=110.0)),
         "P_B_dB": draw(st.floats(min_value=-110.0, max_value=110.0)),
         "gamma": draw(st.floats(min_value=0.0, max_value=1.0)),
@@ -463,6 +486,8 @@ _BASE_TEXT = "n_A=4\nn_E=2\nP_A_dB=20\nP_B_dB=30\n"
 @example(inputs=(_BASE_TEXT, ["sigma2_B=1e-300", "sigma2_EA=1e-300", "sigma2_EB=1e-300"]))
 @example(inputs=(_BASE_TEXT, ["P_A_dB=100", "sigma2_B=1e-300"]))
 @example(inputs=(_BASE_TEXT, ["P_A_dB=100", "sigma2_EA=1e-300", "n_A=6"]))
+# antenna counts that used to end in an allocation traceback
+@example(inputs=(_BASE_TEXT, ["n_A=20000", "n_E=20000"]))
 def test_single_fuzz_exits_cleanly(inputs):
     with tempfile.TemporaryDirectory() as tmp:
         rc, out = _run_fuzzed("single", inputs, [], tmp)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from steepsim.linops import (
     DegenerateChannelError,
+    cn_from_normals,
     hermitian_eig,
     sample_cn,
     sample_cn_matrix,
@@ -31,6 +32,27 @@ def test_sample_cn_matrix_shape_and_dtype():
     m = sample_cn_matrix(3, 5, rng)
     assert m.shape == (3, 5)
     assert m.dtype == np.complex128
+
+
+def _bits(z):
+    return z.view(np.uint64)
+
+
+def test_sample_cn_bit_equal_to_complex_division():
+    # the CN draw is defined as (re + 1j*im)/np.sqrt(2.0); its helper writes
+    # the parts without complex temporaries and must keep every bit
+    for shape in [(1001,), (3, 333)]:
+        rng = np.random.default_rng(7)
+        got = sample_cn(*shape, rng) if len(shape) == 1 else sample_cn_matrix(*shape, rng)
+        rng = np.random.default_rng(7)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert np.array_equal(_bits(got), _bits((re + 1j * im) / np.sqrt(2.0)))
+    # column slices of a wider buffer, as the signal-level oracle passes them
+    big = np.random.default_rng(8).standard_normal((2, 5, 700))
+    re, im = big[0, :, 100:613], big[1, :, 100:613]
+    got = cn_from_normals(re, im)
+    assert got.flags.c_contiguous
+    assert np.array_equal(_bits(got), _bits((re + 1j * im) / np.sqrt(2.0)))
 
 
 def test_sample_cn_reproducible():
