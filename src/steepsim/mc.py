@@ -11,7 +11,8 @@ normals per trial from that trial's child stream, then evaluates the closed
 forms of steep.c_steep and baseline.conventional over a leading trial axis.
 The child streams are numpy's own: the block hashes SeedSequence([seed, t])
 for all its trials at once, and np.random.PCG64 seeds each stream from those
-words in C, exactly as default_rng([seed, t]) would.
+words in C, exactly as default_rng([seed, t]) would. Each trial's beta is
+one batched Cholesky factorization of steep.beta's bordered matrix.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
 the scalar API, so every float equals the scalar result bit for bit;
 reference_trial evaluates one trial through the scalar API.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
@@ -31,7 +33,7 @@ from . import __version__
 from .baseline import conventional
 from .channel import PowerConvention, SystemConfig, echo_budget, sample_realization
 from .linops import DegenerateChannelError, cn_from_normals
-from .steep import c_steep, log2_ratio
+from .steep import LN2, c_steep, log2_ratio
 
 HIST_BINS = 60
 DEFAULT_RS_GRID = np.linspace(0.0, 1.0, 101)
@@ -199,16 +201,35 @@ def _norm2(v: np.ndarray) -> np.ndarray:
 
 
 def _log2_ratio(arg: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # steep.log2_ratio per element, as the scalar API computes it: that
-    # calls math.log1p, and np.log1p may differ in the last ulp
-    return np.fromiter(
-        map(log2_ratio, arg.tolist(), a.tolist(), s.tolist()), dtype=float, count=arg.shape[0]
+    # steep.log2_ratio per element, bit for bit: math.log1p(arg) / LN2 where
+    # arg > -1 (np.log1p may differ in the last ulp), and steep.log2_ratio
+    # itself for the rest, NaN included
+    ok = arg > -1.0
+    out = np.fromiter(
+        map(math.log1p, np.where(ok, arg, 0.0).tolist()), dtype=float, count=arg.shape[0]
     )
+    out /= LN2
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = log2_ratio(float(arg[i]), float(a[i]), float(s[i]))
+    return out
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
     """Elementwise max(0.0, x) with Python's semantics."""
     return np.where(x > 0.0, x, 0.0)
+
+
+def _beta(cfg: SystemConfig, h_BA: np.ndarray, G_A: np.ndarray, nh_BA: np.ndarray) -> np.ndarray:
+    """steep.beta per trial; nh_BA holds the squared norms of h_BA's rows."""
+    k, n = h_BA.shape
+    g = math.sqrt(cfg.P_A / (cfg.n_A * cfg.sigma2_EA)) * G_A
+    a = np.zeros((k, n + 1, n + 1), dtype=complex)
+    # the Gram goes straight into A, which keeps the block's peak memory down
+    np.matmul(g.conj().swapaxes(1, 2), g, out=a[:, :n, :n])
+    a[:, range(n), range(n)] += 1.0
+    a[:, n, :n] = h_BA
+    a[:, n, n] = 1.0 + nh_BA
+    return _norm2(np.linalg.cholesky(a)[:, n, :n])
 
 
 _RESPONSES = ("h_BA", "h_AB", "G_A", "g_B")
@@ -244,16 +265,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
         p_b_prime = cfg.P_B
     else:
         p_b_prime = echo_budget(cfg) / (1.0 + nh_BA)
-    scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
-    # steep.beta's matrix scale*_gram + I, in place to keep the block's peak
-    # memory down
-    gram = G_A.conj().swapaxes(1, 2) @ G_A
-    gram += gram.conj().swapaxes(1, 2)
-    gram *= 0.5
-    gram *= scale
-    gram += np.eye(n_A)
-    u = h_BA.conj()
-    b = (h_BA[:, None, :] @ np.linalg.solve(gram, u[:, :, None]))[:, 0, 0].real
+    b = _beta(cfg, h_BA, G_A, nh_BA)
     floor = (cfg.n_A / cfg.P_A) * cfg.sigma2_B
     var_a = floor + cfg.sigma2_A / (p_b_prime * nh_AB)
     var_e = b + floor + cfg.sigma2_EB / (p_b_prime * ng_B)
@@ -261,7 +273,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     cs = _clamp(_log2_ratio(diff / (var_a * (1.0 + var_e)), 1.0 / var_a, 1.0 / var_e))
 
     # baseline.conventional
-    g_A = (G_A @ (u / np.sqrt(nh_BA)[:, None])[:, :, None])[:, :, 0]
+    g_A = (G_A @ (h_BA.conj() / np.sqrt(nh_BA)[:, None])[:, :, None])[:, :, 0]
     snr_B = cfg.P_A * nh_BA / cfg.sigma2_B
     snr_EA = cfg.P_A * _norm2(g_A) / cfg.sigma2_EA
     snr_A = cfg.P_B * nh_AB / cfg.sigma2_A
@@ -350,7 +362,10 @@ def run_ensemble(
         parts = [_run_chunk(jobs[0])]
     else:
         # one process per non-empty chunk: with fewer trials than workers,
-        # the extra workers would have nothing to do
+        # the extra workers would have nothing to do. The seed words' type
+        # loads numpy.random; built before the fork, every child inherits it
+        # instead of importing it at once with the others.
+        _seed_words_type()
         with Pool(processes=len(jobs)) as pool:
             parts = pool.map(_run_chunk, jobs)
     cs, cc, gn, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))

@@ -78,13 +78,27 @@ def mmse_residual_cov(cfg: SystemConfig, G_A: np.ndarray) -> np.ndarray:
 def beta(cfg: SystemConfig, ch: ChannelRealization) -> float:
     """Eve's irreducible probe uncertainty seen through Bob's downlink.
 
-    beta = h_BA^T R h_BA^*, evaluated through one solve with the matrix
-    scale*G_A^H G_A + I, whose eigenvalues are all at least 1.
+    beta = h_BA^T M^{-1} h_BA^* with M = scale*G_A^H G_A + I, whose
+    eigenvalues are all at least 1. One Cholesky factorization of the
+    bordered matrix
+
+        A = [[M,      h_BA^*        ],
+             [h_BA^T, 1 + ||h_BA||^2]] = L L^H
+
+    gives it: the last row of L is (L_M^{-1} h_BA^*)^H, so beta is that
+    row's squared norm. A's Schur complement 1 + ||h_BA||^2 - beta is at
+    least 1, so the factorization cannot fail. LAPACK's potrf reads only
+    the lower triangle of A, so A[:n_A, n_A] stays zero and the Gram needs
+    no symmetrizing. sqrt(scale) scales G_A before the product.
     """
-    scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
-    m = scale * _gram(ch.G_A) + np.eye(cfg.n_A)
-    u = ch.h_BA.conj()
-    return float(np.vdot(u, np.linalg.solve(m, u)).real)
+    n = cfg.n_A
+    g = math.sqrt(cfg.P_A / (cfg.n_A * cfg.sigma2_EA)) * ch.G_A
+    a = np.zeros((n + 1, n + 1), dtype=complex)
+    a[:n, :n] = g.conj().T @ g
+    a[range(n), range(n)] += 1.0
+    a[n, :n] = ch.h_BA
+    a[n, n] = 1.0 + norm2(ch.h_BA)
+    return norm2(np.linalg.cholesky(a)[n, :n])
 
 
 def beta_via_eig(cfg: SystemConfig, ch: ChannelRealization) -> float:

@@ -18,14 +18,24 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from steepsim.baseline import conventional
-from steepsim.channel import ChannelRealization, PowerConvention, SystemConfig
+from steepsim.channel import (
+    MAX_ANTENNAS,
+    ChannelRealization,
+    PowerConvention,
+    SystemConfig,
+    norm2,
+    sample_realization,
+)
 from steepsim.linops import DegenerateChannelError
 import steepsim.mc as mc
 from steepsim.mc import (
     BLOCK_TRIALS,
     MAX_WORKERS,
     _analyze_block,
+    _beta,
     _child_normals,
+    _log2_ratio,
+    _norm2,
     _normals_per_trial,
     _pcg64_states,
     _run_chunk,
@@ -34,7 +44,7 @@ from steepsim.mc import (
     run_ensemble,
     write_outputs,
 )
-from steepsim.steep import c_steep
+from steepsim.steep import beta, c_steep, log2_ratio
 
 DATA = Path(__file__).parent / "data"
 REL_TOL = 1e-12
@@ -114,6 +124,43 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert out == ["False", "False"]
 
 
+_POOL_CHECK = """
+import sys
+import steepsim.mc as mc
+from steepsim.channel import SystemConfig
+
+class StandInPool:
+    def __init__(self, processes):
+        print("numpy.random" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+print("numpy.random" in sys.modules)
+mc.Pool = StandInPool
+mc.run_ensemble(SystemConfig(n_A=4, n_E=6, P_A_dB=20.0, P_B_dB=30.0), trials=8, seed=1, workers=2)
+"""
+
+
+def test_pool_children_inherit_numpy_random():
+    # built before the fork, the seed words' type is in every child, which
+    # would otherwise each import numpy.random on its first stream
+    src = Path(__file__).parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _POOL_CHECK], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert out == ["False", "True"]
+
+
 # the Pool: one process per non-empty chunk
 
 @pytest.mark.parametrize(
@@ -163,8 +210,8 @@ def test_worker_count_bounded(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n_A=st.integers(min_value=1, max_value=17),
-    n_E=st.integers(min_value=1, max_value=9),
+    n_A=st.integers(min_value=1, max_value=MAX_ANTENNAS),
+    n_E=st.integers(min_value=1, max_value=MAX_ANTENNAS),
     convention=st.sampled_from(list(PowerConvention)),
     gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.01, max_value=0.99)),
     P_A_dB=st.floats(min_value=-10.0, max_value=40.0),
@@ -224,6 +271,43 @@ def test_engine_matches_scalar_api_where_log1p_is_undefined():
         want = (sa.c_steep_clamped, ba.c_conv, ba.gain, sa.natural_outage, ba.c1, ba.c2)
         assert [float(col[i]) for col in got] == [float(x) for x in want]
         assert sa.natural_outage and -math.inf < sa.c_steep < 0.0 and -math.inf < ba.c2 < 0.0
+
+
+@pytest.mark.parametrize("probe_dB", [20.0, 100.0])
+@pytest.mark.parametrize("n_E", [1, 8, 16, MAX_ANTENNAS])
+@pytest.mark.parametrize("n_A", [1, 8, 16, MAX_ANTENNAS])
+def test_block_beta_bit_equal_to_scalar(n_A, n_E, probe_dB):
+    # one bordered Cholesky factorization per trial, batched and scalar, up
+    # to Eve's largest accepted probe SNR P_A_dB - 10*log10(sigma2_EA)
+    cfg = _cfg(n_A=n_A, n_E=n_E, P_A_dB=probe_dB)
+    seed, start, count = 6, BLOCK_TRIALS - 4, 8
+    chs = [sample_realization(cfg, np.random.default_rng([seed, t]))
+           for t in range(start, start + count)]
+    h_BA = np.stack([ch.h_BA for ch in chs])
+    got = _beta(cfg, h_BA, np.stack([ch.G_A for ch in chs]), _norm2(h_BA))
+    block = _analyze_block(cfg, _child_normals(seed, start, start + count, _normals_per_trial(cfg)),
+                           seed, start)
+    for i, ch in enumerate(chs):
+        b = beta(cfg, ch)
+        assert float(got[i]) == b, f"trial {start + i}: beta {got[i]!r} != {b!r}"
+        assert 0.0 <= b <= norm2(ch.h_BA)
+        want = reference_trial(cfg, seed, start + i)
+        assert [float(col[i]) for col in block] == [float(x) for x in want]
+
+
+def test_log2_ratio_block_bit_equal_to_scalar():
+    rng = np.random.default_rng(8)
+    a = 10.0 ** rng.uniform(-300.0, 300.0, 2000)
+    s = 10.0 ** rng.uniform(-300.0, 300.0, 2000)
+    # (a - s)/(1 + s) rounds to -1 once s/a passes ~1e16
+    arg = (a - s) / (1.0 + s)
+    special = [-1.0, np.nextafter(-1.0, 0.0), 0.0, -0.0, 1e-300, 1e300, -2.0, math.nan]
+    arg = np.concatenate([arg, special])
+    a = np.concatenate([a, np.full(len(special), 0.25)])
+    s = np.concatenate([s, np.full(len(special), 4.0)])
+    assert np.count_nonzero(arg <= -1.0) > 10 and np.count_nonzero(arg > -1.0) > 10
+    want = np.array([log2_ratio(*x) for x in zip(arg.tolist(), a.tolist(), s.tolist())])
+    assert _log2_ratio(arg, a, s).tobytes() == want.tobytes()
 
 
 # golden runs: samples.csv written by `steepsim ensemble --trials 64` when

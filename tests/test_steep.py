@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steepsim.channel import (
+    MAX_ANTENNAS,
     ChannelRealization,
     PowerConvention,
     SystemConfig,
@@ -14,6 +15,7 @@ from steepsim.channel import (
     sample_realization,
 )
 from steepsim.steep import (
+    _gram,
     beta,
     beta_via_eig,
     c_key_siso,
@@ -40,16 +42,52 @@ def _cfg(**kw):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n_A=st.integers(min_value=1, max_value=17),
-    n_E=st.integers(min_value=1, max_value=9),
+    n_A=st.integers(min_value=1, max_value=MAX_ANTENNAS),
+    n_E=st.integers(min_value=1, max_value=MAX_ANTENNAS),
     P_A_dB=st.floats(min_value=-10.0, max_value=40.0),
     seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_beta_routes_agree(n_A, n_E, P_A_dB, seed):
-    # beta_via_eig is the oracle for the production solve route
+    # beta_via_eig is the oracle for the production Cholesky route
     cfg = _cfg(n_A=n_A, n_E=n_E, P_A_dB=P_A_dB)
     ch = sample_realization(cfg, np.random.default_rng(seed))
     assert beta(cfg, ch) == pytest.approx(beta_via_eig(cfg, ch), rel=1e-9)
+
+
+def _beta_lu(cfg, ch):
+    """beta through one LU solve with scale*G_A^H G_A + I, the route the
+    bordered Cholesky factorization replaced; the accuracy yardstick."""
+    scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
+    u = ch.h_BA.conj()
+    return float(np.vdot(u, np.linalg.solve(scale * _gram(ch.G_A) + np.eye(cfg.n_A), u)).real)
+
+
+@pytest.mark.parametrize("n_A, n_E", [(1, 1), (4, 6), (9, 8), (9, 9), (16, 8), (32, 8)])
+def test_beta_accuracy_against_40_digits(n_A, n_E):
+    # beta of the float64 inputs at 40 digits; per cell, the worst relative
+    # error of the Cholesky route over draws and probe powers stays within
+    # 3x the LU route's worst, or 1e-14 where both are at rounding level
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    worst_chol = worst_lu = 0.0
+    for seed in range(8):
+        ch = sample_realization(_cfg(n_A=n_A, n_E=n_E), np.random.default_rng([n_A, n_E, seed]))
+        G = mp.matrix(ch.G_A.tolist())
+        u = mp.matrix(ch.h_BA.conj().tolist())
+        v = G * u
+        for P_A_dB in (-10.0, 20.0, 50.0, 80.0):
+            cfg = _cfg(n_A=n_A, n_E=n_E, P_A_dB=P_A_dB)
+            s = mp.mpf(cfg.P_A / (cfg.n_A * cfg.sigma2_EA))
+            if n_A <= n_E:
+                exact = mp.re((u.H * mp.lu_solve(G.H * G * s + mp.eye(n_A), u))[0])
+            else:
+                # Woodbury: the n_E x n_E solve with I + s*G G^H is smaller
+                w = mp.lu_solve(G * G.H * s + mp.eye(n_E), v)
+                exact = mp.re((u.H * u)[0] - s * (v.H * w)[0])
+            worst_chol = max(worst_chol, float(abs(beta(cfg, ch) - exact) / exact))
+            worst_lu = max(worst_lu, float(abs(_beta_lu(cfg, ch) - exact) / exact))
+    assert worst_chol <= max(3.0 * worst_lu, 1e-14), (worst_chol, worst_lu)
 
 
 @settings(max_examples=40, deadline=None)
