@@ -21,9 +21,13 @@ from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix
 
 
 # bound on |P_A_dB| and |P_B_dB|, and on Eve's probe SNR P_A/sigma2_EA in
-# dB: beyond it 10^(dB/10) overflows or underflows, and for n_A > n_E beta's
-# solve loses accuracy (relative error about 4e-17*P_A/sigma2_EA, i.e. 4e-7
-# at 100 dB; at P_A_dB=20 with sigma2_EA=1e-100 it returned a negative beta)
+# dB. The power bound keeps 10^(dB/10) finite and nonzero by a wide margin.
+# The probe-SNR bound keeps the Gram-based forms accurate: for n_A > n_E,
+# mmse_residual_cov (verify's analytic side) and the test oracle
+# steep.beta_via_eig form scale*G_A^H G_A, which has rank n_E, and its
+# rounding costs them accuracy in proportion to P_A/sigma2_EA (beta taken
+# through that Gram was off by up to 2e-6 relative at 100 dB).
+# steep.beta does not form that Gram when n_A > n_E.
 POWER_DB_LIMIT = 100.0
 # bound on the noise variances: sigma2_* must lie in [1/VARIANCE_LIMIT,
 # VARIANCE_LIMIT]. With powers inside POWER_DB_LIMIT, every SNR and effective

@@ -12,7 +12,10 @@ forms of steep.c_steep and baseline.conventional over a leading trial axis.
 The child streams are numpy's own: the block hashes SeedSequence([seed, t])
 for all its trials at once, and np.random.PCG64 seeds each stream from those
 words in C, exactly as default_rng([seed, t]) would. Each trial's beta is
-one batched Cholesky factorization of steep.beta's bordered matrix.
+one batched Cholesky factorization of steep.beta's bordered matrix: the
+(n_A+1)-square primal one when n_A <= n_E, and the (n_E+1)-square Woodbury
+one, with beta = ||h_BA||^2 - q, when n_A > n_E. Both have a Schur
+complement of 1 + beta >= 1, so neither factorization can fail.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
 the scalar API, so every float equals the scalar result bit for bit;
 reference_trial evaluates one trial through the scalar API.
@@ -220,16 +223,25 @@ def _clamp(x: np.ndarray) -> np.ndarray:
 
 
 def _beta(cfg: SystemConfig, h_BA: np.ndarray, G_A: np.ndarray, nh_BA: np.ndarray) -> np.ndarray:
-    """steep.beta per trial; nh_BA holds the squared norms of h_BA's rows."""
-    k, n = h_BA.shape
+    """steep.beta per trial, by the same route; nh_BA holds the squared
+    norms of h_BA's rows."""
+    k, n_E, n_A = G_A.shape
     g = math.sqrt(cfg.P_A / (cfg.n_A * cfg.sigma2_EA)) * G_A
-    a = np.zeros((k, n + 1, n + 1), dtype=complex)
-    # the Gram goes straight into A, which keeps the block's peak memory down
-    np.matmul(g.conj().swapaxes(1, 2), g, out=a[:, :n, :n])
-    a[:, range(n), range(n)] += 1.0
-    a[:, n, :n] = h_BA
-    a[:, n, n] = 1.0 + nh_BA
-    return _norm2(np.linalg.cholesky(a)[:, n, :n])
+    # each Gram goes straight into its bordered matrix, which keeps the
+    # block's peak memory down
+    if n_A <= n_E:
+        a = np.zeros((k, n_A + 1, n_A + 1), dtype=complex)
+        np.matmul(g.conj().swapaxes(1, 2), g, out=a[:, :n_A, :n_A])
+        a[:, range(n_A), range(n_A)] += 1.0
+        a[:, n_A, :n_A] = h_BA
+        a[:, n_A, n_A] = 1.0 + nh_BA
+        return _norm2(np.linalg.cholesky(a)[:, n_A, :n_A])
+    b = np.zeros((k, n_E + 1, n_E + 1), dtype=complex)
+    np.matmul(g, g.conj().swapaxes(1, 2), out=b[:, :n_E, :n_E])
+    b[:, range(n_E), range(n_E)] += 1.0
+    b[:, n_E, :n_E] = (g.conj() @ h_BA[:, :, None])[:, :, 0]
+    b[:, n_E, n_E] = 1.0 + nh_BA
+    return nh_BA - _norm2(np.linalg.cholesky(b)[:, n_E, :n_E])
 
 
 _RESPONSES = ("h_BA", "h_AB", "G_A", "g_B")

@@ -79,26 +79,52 @@ def beta(cfg: SystemConfig, ch: ChannelRealization) -> float:
     """Eve's irreducible probe uncertainty seen through Bob's downlink.
 
     beta = h_BA^T M^{-1} h_BA^* with M = scale*G_A^H G_A + I, whose
-    eigenvalues are all at least 1. One Cholesky factorization of the
-    bordered matrix
+    eigenvalues are all at least 1. One Cholesky factorization of a
+    bordered matrix gives it, through the smaller of the two Grams of
+    g = sqrt(scale)*G_A (sqrt(scale) scales G_A before any product).
+
+    When n_A <= n_E, the bordered matrix is
 
         A = [[M,      h_BA^*        ],
-             [h_BA^T, 1 + ||h_BA||^2]] = L L^H
+             [h_BA^T, 1 + ||h_BA||^2]] = L L^H,
 
-    gives it: the last row of L is (L_M^{-1} h_BA^*)^H, so beta is that
-    row's squared norm. A's Schur complement 1 + ||h_BA||^2 - beta is at
-    least 1, so the factorization cannot fail. LAPACK's potrf reads only
-    the lower triangle of A, so A[:n_A, n_A] stays zero and the Gram needs
-    no symmetrizing. sqrt(scale) scales G_A before the product.
+    whose last row of L is (L_M^{-1} h_BA^*)^H, so beta is that row's
+    squared norm.
+
+    When n_A > n_E, g^H g has rank n_E, and the Woodbury identity
+    M^{-1} = I - g^H N^{-1} g with N = I + g g^H gives
+    beta = ||h_BA||^2 - q, q = u^H N^{-1} u, u = g h_BA^*. The
+    (n_E+1)-square bordered matrix
+
+        B = [[N,   u             ],
+             [u^H, 1 + ||h_BA||^2]] = L L^H
+
+    gives q as the squared norm of L's last row. This route never forms
+    g^H g, whose rounding blurs its null space more as the probe SNR
+    grows. Subtracting q costs at most a factor ||h_BA||^2/beta, which does
+    not grow with the probe SNR: beta is at least the share of ||h_BA||^2
+    in that null space.
+
+    Either Schur complement equals 1 + beta >= 1, so the factorization
+    cannot fail, and q >= 0 makes beta <= ||h_BA||^2 exact. LAPACK's potrf
+    reads only the lower triangle, so the Gram needs no symmetrizing.
     """
-    n = cfg.n_A
+    n_A, n_E = cfg.n_A, cfg.n_E
     g = math.sqrt(cfg.P_A / (cfg.n_A * cfg.sigma2_EA)) * ch.G_A
-    a = np.zeros((n + 1, n + 1), dtype=complex)
-    a[:n, :n] = g.conj().T @ g
-    a[range(n), range(n)] += 1.0
-    a[n, :n] = ch.h_BA
-    a[n, n] = 1.0 + norm2(ch.h_BA)
-    return norm2(np.linalg.cholesky(a)[n, :n])
+    nh = norm2(ch.h_BA)
+    if n_A <= n_E:
+        a = np.zeros((n_A + 1, n_A + 1), dtype=complex)
+        a[:n_A, :n_A] = g.conj().T @ g
+        a[range(n_A), range(n_A)] += 1.0
+        a[n_A, :n_A] = ch.h_BA
+        a[n_A, n_A] = 1.0 + nh
+        return norm2(np.linalg.cholesky(a)[n_A, :n_A])
+    b = np.zeros((n_E + 1, n_E + 1), dtype=complex)
+    b[:n_E, :n_E] = g @ g.conj().T
+    b[range(n_E), range(n_E)] += 1.0
+    b[n_E, :n_E] = g.conj() @ ch.h_BA
+    b[n_E, n_E] = 1.0 + nh
+    return nh - norm2(np.linalg.cholesky(b)[n_E, :n_E])
 
 
 def beta_via_eig(cfg: SystemConfig, ch: ChannelRealization) -> float:

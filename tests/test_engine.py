@@ -274,8 +274,13 @@ def test_engine_matches_scalar_api_where_log1p_is_undefined():
 
 
 @pytest.mark.parametrize("probe_dB", [20.0, 100.0])
-@pytest.mark.parametrize("n_E", [1, 8, 16, MAX_ANTENNAS])
-@pytest.mark.parametrize("n_A", [1, 8, 16, MAX_ANTENNAS])
+@pytest.mark.parametrize(
+    "n_A, n_E",
+    # every pairing of the sizes, plus the cells n_A = n_E + 1 just past the
+    # switch from the n_A-sized to the n_E-sized bordered matrix
+    [(n_A, n_E) for n_A in (1, 8, 16, MAX_ANTENNAS) for n_E in (1, 8, 16, MAX_ANTENNAS)]
+    + [(2, 1), (9, 8), (17, 16)],
+)
 def test_block_beta_bit_equal_to_scalar(n_A, n_E, probe_dB):
     # one bordered Cholesky factorization per trial, batched and scalar, up
     # to Eve's largest accepted probe SNR P_A_dB - 10*log10(sigma2_EA)
