@@ -2,8 +2,15 @@
 
 Subcommands: ensemble (Monte Carlo run with CSV/JSON outputs), single (one
 realization, printed), verify (signal-level check of the closed forms), and
-sdof (exact degree-of-freedom formula). Exit codes are stable for scripting:
-0 success, 1 validation error, 2 runtime or tolerance failure.
+sdof (exact degree-of-freedom formula). The first three read a config file,
+--set overrides and a seed: --seed, else the config's seed, else 1. Powers
+given in dB are converted as linear = 10^(dB/10).
+
+Exit codes are stable for scripting, and main alone maps errors to them:
+0 success; 1 validation error (a ValueError, or an OSError reading the
+config); 2 runtime or tolerance failure (InfeasiblePowerError,
+DegenerateChannelError, or an OSError writing outputs), where single and
+verify name the seed of the failing realization.
 """
 from __future__ import annotations
 
@@ -26,8 +33,6 @@ from .sigsim import variance_report
 from .steep import c_steep, sdof
 
 __all__ = ["main"]
-
-_EPILOG = "Powers given in dB are converted as linear = 10^(dB/10)."
 
 # variance tolerances in standard errors, matching the test suite
 _SCALAR_SE_TOL = 3.0
@@ -128,46 +133,31 @@ def parse_settings(kv: dict[str, str]):
     return SystemConfig(**values), trials, seed, rs_grid
 
 
-def _settings_from_args(args):
+def _settings_from_args(args) -> None:
+    """Set args.cfg, args.rs_grid, args.seed and args.trials from the config file,
+    --set and the flags; a flag beats the config, which beats the default."""
     kv = load_config_file(args.config)
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set wants key=value, got {item!r}")
         key, val = item.split("=", 1)
         kv[key.strip()] = val.strip()
-    return parse_settings(kv)
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    args.cfg, trials, seed, args.rs_grid = parse_settings(kv)
+    if args.seed is None:
+        args.seed = 1 if seed is None else seed
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    if getattr(args, "trials", None) is None:
+        args.trials = 100_000 if trials is None else trials
 
 
 def cmd_ensemble(args) -> int:
-    try:
-        cfg, trials, seed, rs_grid = _settings_from_args(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.trials is not None:
-        trials = args.trials
-    if args.seed is not None:
-        seed = args.seed
-    trials = 100_000 if trials is None else trials
-    seed = 1 if seed is None else seed
-    try:
-        # run_ensemble checks trials, seed, workers and the grid before any
-        # trial runs, so a ValueError is bad input and leaves no output
-        result = run_ensemble(cfg, trials, seed, rs_grid=rs_grid, workers=args.workers)
-        manifest = write_outputs(result, args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InfeasiblePowerError, DegenerateChannelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_ensemble(
+        args.cfg, args.trials, args.seed, rs_grid=args.rs_grid, workers=args.workers
+    )
+    manifest = write_outputs(result, args.out)
     o_s, o_c = outage_at(result, 0.0)
-    print(f"trials = {result.trials} (infeasible = {result.infeasible})")
+    print(f"trials = {result.trials}")
     print(f"O_steep(0) = {o_s:.6g}")
     print(f"O_conv(0) = {o_c:.6g}")
     for name, path in manifest["outputs"].items():
@@ -177,20 +167,9 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_single(args) -> int:
-    try:
-        cfg, _, _, _ = _settings_from_args(args)
-        _check_seed(args.seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rng = np.random.default_rng(args.seed)
-    try:
-        ch = sample_realization(cfg, rng)
-        sa = c_steep(cfg, ch)
-        ba = conventional(cfg, ch, steep=sa)
-    except (InfeasiblePowerError, DegenerateChannelError) as exc:
-        print(f"error: seed {args.seed}: {exc}", file=sys.stderr)
-        return 2
+    ch = sample_realization(args.cfg, np.random.default_rng(args.seed))
+    sa = c_steep(args.cfg, ch)
+    ba = conventional(args.cfg, ch, steep=sa)
     report = {
         "beta": sa.beta,
         "sigma2_vA": sa.sigma2_vA,
@@ -214,83 +193,56 @@ def cmd_single(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg, _, _, _ = _settings_from_args(args)
-        _check_seed(args.seed)
-        if not 1000 <= args.m <= MAX_VERIFY_M:
-            raise ValueError(f"m must be in [1000, {MAX_VERIFY_M}], got {args.m}")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if not 1000 <= args.m <= MAX_VERIFY_M:
+        raise ValueError(f"m must be in [1000, {MAX_VERIFY_M}], got {args.m}")
     rng = np.random.default_rng(args.seed)
-    try:
-        ch = sample_realization(cfg, rng)
-        rep = variance_report(cfg, ch, args.m, rng)
-    except (InfeasiblePowerError, DegenerateChannelError) as exc:
-        print(f"error: seed {args.seed}: {exc}", file=sys.stderr)
-        return 2
-    failures = []
+    ch = sample_realization(args.cfg, rng)
+    rep = variance_report(args.cfg, ch, args.m, rng)
+    # (quantity, what its line prints before the deviation, deviation in se, limit)
+    checks = [
+        (name, f"analytic = {rep[name]:.8g}, empirical = {rep[f'{name}_emp']:.8g}, deviation",
+         abs(rep[f"{name}_emp"] - rep[name]) / rep[f"{name}_se"], _SCALAR_SE_TOL)
+        for name in ("sigma2_vA", "sigma2_vE")
+    ] + [("residual covariance", "max entry deviation", rep["cov_max_dev_se"], _MATRIX_SE_TOL)]
     print(f"m = {rep['m']}, P_B_prime = {rep['p_b_prime']:.6g}")
-    for name in ("sigma2_vA", "sigma2_vE"):
-        dev = abs(rep[f"{name}_emp"] - rep[name]) / rep[f"{name}_se"]
-        ok = dev <= _SCALAR_SE_TOL
-        if not ok:
-            failures.append(name)
-        print(
-            f"{name}: analytic = {rep[name]:.8g}, empirical = {rep[f'{name}_emp']:.8g}, "
-            f"deviation = {dev:.2f} se (limit {_SCALAR_SE_TOL:g}) "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-    dev = rep["cov_max_dev_se"]
-    ok = dev <= _MATRIX_SE_TOL
-    if not ok:
-        failures.append("residual covariance")
-    print(
-        f"residual covariance: max entry deviation = {dev:.2f} se "
-        f"(limit {_MATRIX_SE_TOL:g}) {'PASS' if ok else 'FAIL'}"
-    )
+    for name, head, dev, limit in checks:
+        verdict = "PASS" if dev <= limit else "FAIL"
+        print(f"{name}: {head} = {dev:.2f} se (limit {limit:g}) {verdict}")
+    failures = [name for name, _, dev, limit in checks if not dev <= limit]
     if failures:
-        print(f"error: tolerance failure in: {', '.join(failures)}", file=sys.stderr)
-        return 2
+        return _fail(f"tolerance failure in: {', '.join(failures)}", 2)
     return 0
 
 
 def cmd_sdof(args) -> int:
-    try:
-        value = sdof(args.n_A, args.n_B, args.n_E, args.m_A, args.m_B, args.delta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    value = sdof(args.n_A, args.n_B, args.n_E, args.m_A, args.m_B, args.delta)
     print(f"{value} = {float(value):.17g}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="steepsim", description=__doc__, epilog=_EPILOG)
+    parser = _Parser(prog="steepsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ensemble", help="run a Monte Carlo ensemble", epilog=_EPILOG)
-    p.add_argument("--config", required=True, help="flat key=value config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    # the settings of every subcommand that draws realizations
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True, help="flat key=value config file")
+    run.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
+    run.add_argument("--seed", type=int, help="default: the config's seed, else 1")
+
+    p = sub.add_parser("ensemble", parents=[run], help="run a Monte Carlo ensemble")
+    p.add_argument("--trials", type=int, help="default: the config's trials, else 100000")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("single", help="analyze one realization", epilog=_EPILOG)
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", type=int, default=1)
+    p = sub.add_parser("single", parents=[run], help="analyze one realization")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_single)
 
     p = sub.add_parser(
-        "verify", help="check closed-form variances against a signal-level run", epilog=_EPILOG
+        "verify", parents=[run], help="check closed-form variances against a signal-level run"
     )
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--m", type=int, default=100_000, help="symbols per realization")
     p.set_defaults(func=cmd_verify)
 
@@ -306,9 +258,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message, status: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        if "config" in args:
+            _settings_from_args(args)
+    except (OSError, ValueError) as exc:
+        return _fail(exc, 1)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # bad input: run_ensemble checks its arguments before the first trial
+        return _fail(exc, 1)
+    except (InfeasiblePowerError, DegenerateChannelError, OSError) as exc:
+        where = f"seed {args.seed}: " if args.command in ("single", "verify") else ""
+        return _fail(f"{where}{exc}", 2)
 
 
 if __name__ == "__main__":

@@ -167,6 +167,43 @@ def test_negative_seed_exit_code(command, cfg_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["single", "--json"], ["verify", "--m", "1000"]])
+def test_config_seed_and_seed_flag_order(command, cfg_file, tmp_path, capsys):
+    # single and verify used to parse the config's seed and then draw seed 1
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(BASE_CFG + "seed = 7\n")
+
+    def run(path, *flags):
+        rc = main([command[0], "--config", str(path), *flags, *command[1:]])
+        return rc, capsys.readouterr().out
+
+    assert run(seeded) == run(cfg_file, "--seed", "7")
+    assert run(seeded) != run(cfg_file)
+    assert run(seeded, "--seed", "3") == run(cfg_file, "--seed", "3")
+
+
+def test_ensemble_seed_order(tmp_path, capsys):
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(BASE_CFG + "seed = 7\n")
+    for flags, want in (([], 7), (["--seed", "3"], 3)):
+        out = tmp_path / f"run{want}"
+        args = ["ensemble", "--config", str(seeded), "--trials", "20", "--out", str(out)]
+        assert main(args + flags) == 0
+        capsys.readouterr()
+        assert json.loads((out / "manifest.json").read_text())["seed"] == want
+
+
+@pytest.mark.parametrize("command", ["ensemble", "single", "verify"])
+def test_negative_config_seed_exit_code(command, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CFG + "seed = -1\n")
+    out = tmp_path / "x"
+    extra = ["--out", str(out)] if command == "ensemble" else []
+    assert main([command, "--config", str(path)] + extra) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_non_finite_config_value_exit_code(cfg_file, capsys):
     rc = main(["single", "--config", cfg_file, "--set", "P_A_dB=nan", "--set", "sigma2_A=nan"])
     assert rc == 1

@@ -40,7 +40,6 @@ from steepsim.mc import (
     _pcg64_states,
     _run_chunk,
     _seed_words_type,
-    reference_trial,
     run_ensemble,
     write_outputs,
 )
@@ -58,6 +57,14 @@ def _cfg(**kw):
 
 def _rel_close(a: float, b: float) -> bool:
     return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
+
+
+def reference_trial(cfg: SystemConfig, seed: int, t: int) -> tuple:
+    """Trial t through the scalar API, in _analyze_block's return order."""
+    ch = sample_realization(cfg, np.random.default_rng([seed, t]))
+    sa = c_steep(cfg, ch)
+    ba = conventional(cfg, ch, steep=sa)
+    return sa.c_steep_clamped, ba.c_conv, ba.gain, sa.natural_outage, ba.c1, ba.c2
 
 
 # child streams
