@@ -24,9 +24,9 @@ from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix
 # dB. The power bound keeps 10^(dB/10) finite and nonzero by a wide margin.
 # The probe-SNR bound keeps the Gram-based forms accurate: for n_A > n_E,
 # mmse_residual_cov (verify's analytic side) and the test oracle
-# steep.beta_via_eig form scale*G_A^H G_A, which has rank n_E, and its
-# rounding costs them accuracy in proportion to P_A/sigma2_EA (beta taken
-# through that Gram was off by up to 2e-6 relative at 100 dB).
+# beta_via_eig (tests/oracles.py) form scale*G_A^H G_A, which has rank n_E,
+# and its rounding costs them accuracy in proportion to P_A/sigma2_EA (beta
+# taken through that Gram was off by up to 2e-6 relative at 100 dB).
 # steep.beta does not form that Gram when n_A > n_E.
 POWER_DB_LIMIT = 100.0
 # bound on the noise variances: sigma2_* must lie in [1/VARIANCE_LIMIT,
@@ -65,14 +65,13 @@ class SystemConfig:
     """Static system parameters.
 
     Args:
-        n_A: Alice antenna count, in [1, MAX_ANTENNAS].
-        n_E: Eve antenna count, in [1, MAX_ANTENNAS].
+        n_A: Alice antenna count, an integer in [1, MAX_ANTENNAS].
+        n_E: Eve antenna count, an integer in [1, MAX_ANTENNAS].
         P_A_dB: Alice transmit power in dB relative to unit noise, in
             [-POWER_DB_LIMIT, POWER_DB_LIMIT]; P_A_dB - 10*log10(sigma2_EA)
             is at most POWER_DB_LIMIT too.
         P_B_dB: Bob power in dB, in [-POWER_DB_LIMIT, POWER_DB_LIMIT]; meaning
             depends on power_convention.
-        n_B: Bob antenna count, fixed to 1.
         sigma2_B: noise variance at Bob (probe phase). Each noise variance
             lies in [1/VARIANCE_LIMIT, VARIANCE_LIMIT].
         sigma2_A: noise variance at Alice (echo phase).
@@ -86,7 +85,6 @@ class SystemConfig:
     n_E: int
     P_A_dB: float
     P_B_dB: float
-    n_B: int = 1
     sigma2_B: float = 1.0
     sigma2_A: float = 1.0
     sigma2_EA: float = 1.0
@@ -100,12 +98,13 @@ class SystemConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("n_A", "n_E"):
-            if not 1 <= getattr(self, name) <= MAX_ANTENNAS:
-                raise ValueError(
-                    f"{name} must be in [1, {MAX_ANTENNAS}], got {getattr(self, name)}"
-                )
-        if self.n_B != 1:
-            raise ValueError(f"n_B is fixed to 1, got {self.n_B}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not 1 <= value <= MAX_ANTENNAS:
+                raise ValueError(f"{name} must be in [1, {MAX_ANTENNAS}], got {value}")
+            # a numpy integer would not survive json.dump of the manifest
+            object.__setattr__(self, name, int(value))
         for name in ("P_A_dB", "P_B_dB"):
             if abs(getattr(self, name)) > POWER_DB_LIMIT:
                 raise ValueError(

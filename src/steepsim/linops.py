@@ -6,6 +6,7 @@ positive-definite solver. Vectors and matrices are plain complex128 ndarrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,20 @@ def cn_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     np.multiply(re, _CN_SCALE, out=z.real)
     np.multiply(im, _CN_SCALE, out=z.imag)
     return z
+
+
+def cn_parts(buf: np.ndarray, shapes) -> list:
+    """(re, im) views over buf's last axis for CN draws of the given shapes.
+
+    Each draw holds all its real parts, then all its imaginary parts, as
+    sample_cn draws them; buf's leading axes lead each view.
+    """
+    parts, lo, lead = [], 0, buf.shape[:-1]
+    for shape in shapes:
+        size = math.prod(shape)
+        parts.append(tuple(buf[..., a:a + size].reshape(lead + shape) for a in (lo, lo + size)))
+        lo += 2 * size
+    return parts
 
 
 def sample_cn(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,8 +7,8 @@ the <= comparison on clamped capacities; the value at a rate of zero is the
 natural-outage frequency.
 
 Trials are evaluated in blocks of BLOCK_TRIALS. A block draws one row of
-normals per trial from that trial's child stream, then evaluates the closed
-forms of steep.c_steep and baseline.conventional over a leading trial axis.
+normals per trial, split by linops.cn_parts in sample_realization's order,
+then evaluates steep.c_steep and baseline.conventional over a trial axis.
 The child streams are numpy's own: the block hashes SeedSequence([seed, t])
 for all its trials at once, and np.random.PCG64 seeds each stream from those
 words in C, exactly as default_rng([seed, t]) would. Each trial's beta is
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .channel import PowerConvention, SystemConfig, echo_budget
-from .linops import DegenerateChannelError, cn_from_normals
+from .linops import DegenerateChannelError, cn_from_normals, cn_parts
 from .steep import LN2, log2_ratio
 # not called here: the benchmark's tracer wraps them under steepsim.mc
 from .baseline import conventional  # noqa: F401
@@ -252,11 +252,9 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     Raises:
         DegenerateChannelError: if a response of some trial has zero norm.
     """
-    n_A, n_E, k = cfg.n_A, cfg.n_E, z.shape[0]
-    parts = np.split(z, np.cumsum([n_A] * 4 + [n_E] * 2 + [n_E * n_A]), axis=1)
+    n_A, n_E = cfg.n_A, cfg.n_E
     h_BA, w, g_B, G_A = (
-        cn_from_normals(re.reshape(k, *shape), im.reshape(k, *shape))
-        for re, im, shape in zip(parts[0::2], parts[1::2], [(n_A,), (n_A,), (n_E,), (n_E, n_A)])
+        cn_from_normals(re, im) for re, im in cn_parts(z, [(n_A,), (n_A,), (n_E,), (n_E, n_A)])
     )
     h_AB = cfg.gamma * h_BA + (1.0 - cfg.gamma) * w
     nh_BA, nh_AB, ng_B = _norm2(h_BA), _norm2(h_AB), _norm2(g_B)
@@ -410,9 +408,7 @@ def gain_distribution(result: EnsembleResult) -> dict:
     }
 
 
-# 17 significant digits: every float64 reads back exactly
-_fmt = "{:.17g}".format
-# one samples.csv row: %.17g writes what _fmt writes, and a bool flag as 0 or 1
+# one samples.csv row: %.17g reads back as the same float64, %d a flag as 0/1
 _SAMPLE_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
 
 
@@ -442,14 +438,14 @@ def write_outputs(result: EnsembleResult, outdir) -> dict:
     with open(outage, "w", encoding="ascii", newline="") as f:
         f.write("Rs,O_steep,O_conv\n")
         for rs, o_s, o_c in zip(result.rs_grid, result.o_steep, result.o_conv):
-            f.write(f"{_fmt(rs)},{_fmt(o_s)},{_fmt(o_c)}\n")
+            f.write("%.17g,%.17g,%.17g\n" % (rs, o_s, o_c))
 
     hist = outdir / "histogram.csv"
     with open(hist, "w", encoding="ascii", newline="") as f:
         f.write("statistic,bin_lo,bin_hi,count\n")
         for name, (edges, counts) in result.histograms.items():
             for i in range(counts.shape[0]):
-                f.write(f"{name},{_fmt(edges[i])},{_fmt(edges[i + 1])},{counts[i]}\n")
+                f.write("%s,%.17g,%.17g,%d\n" % (name, edges[i], edges[i + 1], counts[i]))
 
     manifest = {
         "config": {**asdict(result.cfg), "rs_grid": result.rs_grid.tolist()},

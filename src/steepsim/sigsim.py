@@ -7,9 +7,9 @@ the channel realization: the only randomness is probes, secrets and noise.
 
 The signal chain is four steps on drawn unit-variance CN(0,1) waveforms, one
 column per symbol: run_phase1, run_phase2, alice_receiver and eve_receiver.
-variance_report is the one place that draws. It runs the steps over column
-blocks of SYMBOL_BLOCK symbols, in one pass per phase, and keeps only three
-length-m vectors between the passes.
+variance_report is the one place that draws: one buffer per phase, split by
+linops.cn_parts. It runs the steps over column blocks of SYMBOL_BLOCK symbols,
+one pass per phase, and keeps only three length-m vectors between passes.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemConfig, norm2, reference_power
 from . import steep as _steep
-from .linops import cn_from_normals
+from .linops import cn_from_normals, cn_parts
 # not called here: the benchmark's tracer wraps them under steepsim.sigsim
 from .linops import sample_cn, sample_cn_matrix  # noqa: F401
 
@@ -69,24 +69,17 @@ def run_phase2(
     return Y_A, Y_EB
 
 
-def known_probe_term(
-    ch: ChannelRealization, hx_A: np.ndarray, P_B_prime: float
-) -> np.ndarray:
-    """The probe component of Y_A that Alice can reconstruct and cancel.
-
-    Inside Bob's echo the probe amplitude sqrt(P_A/n_A) and the echo rescale
-    sqrt(n_A/P_A) cancel, so the reconstructable term is
-    sqrt(P_B') * h_AB h_BA^T X_A with the unit-variance X_A; hx_A is
-    h_BA^T X_A.
-    """
-    return math.sqrt(P_B_prime) * np.outer(ch.h_AB, hx_A)
-
-
 def alice_receiver(
     ch: ChannelRealization, Y_A: np.ndarray, hx_A: np.ndarray, P_B_prime: float
 ) -> np.ndarray:
-    """Alice's sufficient statistic r_A = s + v_A after probe cancellation."""
-    y_prime = Y_A - known_probe_term(ch, hx_A, P_B_prime)
+    """Alice's sufficient statistic r_A = s + v_A after probe cancellation.
+
+    Alice reconstructs and cancels the probe component of Y_A. Inside Bob's
+    echo the probe amplitude sqrt(P_A/n_A) and the echo rescale
+    sqrt(n_A/P_A) cancel, so that term is sqrt(P_B') * h_AB h_BA^T X_A with
+    the unit-variance X_A; hx_A is h_BA^T X_A.
+    """
+    y_prime = Y_A - math.sqrt(P_B_prime) * np.outer(ch.h_AB, hx_A)
     return (ch.h_AB.conj() @ y_prime) / (math.sqrt(P_B_prime) * norm2(ch.h_AB))
 
 
@@ -111,16 +104,6 @@ def eve_receiver(
     """
     resid = Y_EB - math.sqrt(P_B_prime) * np.outer(ch.g_B, hx_hat)
     return (ch.g_B.conj() @ resid) / (math.sqrt(P_B_prime) * norm2(ch.g_B))
-
-
-def _cn_parts(buf: np.ndarray, shapes) -> list:
-    """(re, im) views of buf for CN draws of the given shapes, in draw order."""
-    parts, lo = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        parts.append((buf[lo:lo + size].reshape(shape), buf[lo + size:lo + 2 * size].reshape(shape)))
-        lo += 2 * size
-    return parts
 
 
 def variance_report(
@@ -153,7 +136,7 @@ def variance_report(
     buf = np.empty(2 * m * (n_A + n_E + 1))
 
     rng.standard_normal(out=buf)
-    parts = _cn_parts(buf, [(n_A, m), (m,), (n_E, m)])
+    parts = cn_parts(buf, [(n_A, m), (m,), (n_E, m)])
     y_B, hx_A, hx_hat = (np.empty(m, dtype=complex) for _ in range(3))
     delta_gram = np.zeros((n_A, n_A), dtype=complex)
     for a, b in blocks:
@@ -166,7 +149,7 @@ def variance_report(
         delta_gram += delta @ delta.conj().T
 
     rng.standard_normal(out=buf)
-    parts = _cn_parts(buf, [(m,), (n_A, m), (n_E, m)])
+    parts = cn_parts(buf, [(m,), (n_A, m), (n_E, m)])
     sum_a = sum_e = 0.0
     for a, b in blocks:
         s, W_A, W_EB = (cn_from_normals(re[..., a:b], im[..., a:b]) for re, im in parts)

@@ -18,13 +18,13 @@ from steepsim.mc import run_ensemble, write_outputs
 from steepsim.sigsim import variance_report
 from steepsim.steep import (
     beta,
-    beta_via_eig,
     c_steep,
     c_steep_asymptotic_nA_le_nE,
     c_steep_large_pb,
     mmse_residual_cov,
     natural_outage_condition,
 )
+from oracles import beta_via_eig
 
 SEED = 7
 TRIALS = 100_000

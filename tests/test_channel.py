@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +27,12 @@ def test_config_rejects_bad_fields():
         _cfg(n_A=0)
     with pytest.raises(ValueError):
         _cfg(n_E=-1)
-    with pytest.raises(ValueError):
-        _cfg(n_B=2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'n_B'"):
+        _cfg(n_B=1)
+    for name, value in [("n_A", 4.5), ("n_A", 4.0), ("n_A", True), ("n_E", 6.0), ("n_E", False),
+                        ("n_E", np.float64(2.0)), ("n_A", "4")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            _cfg(**{name: value})
     with pytest.raises(ValueError):
         _cfg(sigma2_B=0.0)
     with pytest.raises(ValueError):
@@ -35,6 +41,13 @@ def test_config_rejects_bad_fields():
         _cfg(gamma=1.5)
     with pytest.raises(ValueError):
         _cfg(gamma=-0.1)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.int32(3), np.uint8(3), 3])
+def test_config_stores_integer_antenna_counts_as_int(value):
+    cfg = _cfg(n_A=value, n_E=value)
+    assert type(cfg.n_A) is int and type(cfg.n_E) is int
+    assert cfg.n_A == cfg.n_E == 3
 
 
 @pytest.mark.parametrize("name", ["P_A_dB", "P_B_dB"])

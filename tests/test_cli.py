@@ -56,6 +56,22 @@ def test_unknown_key_rejected():
         parse_settings({"n_A": "4", "n_E": "2", "P_A_dB": "20", "P_B_dB": "30", "bogus": "1"})
 
 
+@pytest.mark.parametrize("command", ["ensemble", "single", "verify"])
+@pytest.mark.parametrize("in_config", [True, False])
+def test_n_B_key_exit_code(command, in_config, tmp_path, capsys):
+    # Bob has one antenna; n_B is not a config key
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CFG + ("n_B = 1\n" if in_config else ""))
+    out = tmp_path / "x"
+    extra = {"ensemble": ["--trials", "20", "--out", str(out)], "single": [],
+             "verify": ["--m", "1000"]}[command]
+    items = [] if in_config else ["--set", "n_B=1"]
+    rc = main([command, "--config", str(path)] + items + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown config keys: n_B\n"
+    assert not out.exists()
+
+
 def test_missing_required_key_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("n_A = 4\n")
@@ -377,7 +393,6 @@ FIELD_SAMPLES = {
     "n_E": 3,
     "P_A_dB": 17.5,
     "P_B_dB": 33.25,
-    "n_B": 1,
     "sigma2_B": 0.5,
     "sigma2_A": 2.0,
     "sigma2_EA": 0.25,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from steepsim.linops import (
     DegenerateChannelError,
     cn_from_normals,
+    cn_parts,
     hermitian_eig,
     sample_cn,
     sample_cn_matrix,
@@ -53,6 +56,25 @@ def test_sample_cn_bit_equal_to_complex_division():
     got = cn_from_normals(re, im)
     assert got.flags.c_contiguous
     assert np.array_equal(_bits(got), _bits((re + 1j * im) / np.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_cn_parts_follows_sample_cn_draw_order(lead):
+    # views of flat draws, with or without a leading axis, that give
+    # sample_cn's and sample_cn_matrix's draws bit for bit
+    width = 2 * (4 + 6 + 1)
+    seeds = [[7, t] for t in range(math.prod(lead))]
+    rows = [np.random.default_rng(sd).standard_normal(width) for sd in seeds]
+    buf = np.stack(rows).reshape(lead + (width,))
+    parts = cn_parts(buf, [(4,), (2, 3), (1,)])
+    for t, sd in enumerate(seeds):
+        rng = np.random.default_rng(sd)
+        want = [sample_cn(4, rng), sample_cn_matrix(2, 3, rng), sample_cn(1, rng)]
+        for (re, im), w in zip(parts, want):
+            assert re.shape == im.shape == lead + w.shape
+            got = cn_from_normals(re.reshape(-1, *w.shape)[t], im.reshape(-1, *w.shape)[t])
+            assert np.array_equal(_bits(got), _bits(w))
+    assert all(np.shares_memory(re, buf) and np.shares_memory(im, buf) for re, im in parts)
 
 
 def test_sample_cn_reproducible():

@@ -17,7 +17,6 @@ from steepsim.channel import (
 from steepsim.steep import (
     _gram,
     beta,
-    beta_via_eig,
     c_key_siso,
     c_steep,
     c_steep_asymptotic_nA_le_nE,
@@ -30,6 +29,7 @@ from steepsim.steep import (
     sigma2_vA,
     sigma2_vE,
 )
+from oracles import beta_via_eig
 
 LN2 = math.log(2.0)
 
