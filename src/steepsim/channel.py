@@ -12,6 +12,7 @@ per-entry variance of h_AB is gamma^2 + (1-gamma)^2 rather than 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -94,9 +95,19 @@ class SystemConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            if f.type != "float":
+                continue
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            try:
+                # a numpy float would not survive json.dump of the manifest
+                real = float(value)
+            except OverflowError:
+                real = math.inf
+            if not math.isfinite(real):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, real)
         for name in ("n_A", "n_E"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

@@ -18,12 +18,20 @@ one, with beta = ||h_BA||^2 - q, when n_A > n_E. Both have a Schur
 complement of 1 + beta >= 1, so neither factorization can fail.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
 the scalar API, so every float equals the scalar result bit for bit.
+
+With several workers, each chunk runs in a forked Pool worker that first
+restricts itself to its share of the parent's CPU affinity mask (see
+_cpu_shares). Left to the kernel, both workers of a 2-worker run on a 2-CPU
+machine were seen to share one CPU for the whole run, which made the run
+slower than one worker. The parent's own mask never changes, and a worker
+that cannot pin itself runs its chunk unpinned.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
@@ -48,8 +56,8 @@ BLOCK_TRIALS = 512
 # per-trial arrays of such a run already take about 180 GB
 MAX_TRIALS = 2**32
 # most worker processes: each is a forked copy of the parent, and workers
-# beyond the core count only add start-up cost; the bound keeps a mistyped
-# count from forking thousands of processes
+# beyond the CPUs of the affinity mask share a CPU and only add start-up cost;
+# the bound keeps a mistyped count from forking thousands of processes
 MAX_WORKERS = 256
 
 
@@ -300,6 +308,40 @@ def _run_chunk(args) -> tuple:
     return tuple(np.concatenate(col) for col in zip(*blocks))
 
 
+def _cpu_shares(n: int) -> list:
+    """CPU sets for n chunks, split from this process's affinity mask.
+
+    With n at most the mask's size, chunk i gets every n-th CPU from the
+    i-th on, so the scheduler still chooses among several on a large
+    machine; beyond it, chunks take single CPUs in turn. A platform without
+    affinity masks gets None for every chunk.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return [None] * n
+    if n <= len(cpus):
+        return [cpus[i::n] for i in range(n)]
+    return [[cpus[i % len(cpus)]] for i in range(n)]
+
+
+def _pinned_chunk(job) -> tuple:
+    """_run_chunk in a Pool worker, pinned to its CPU set.
+
+    job is (cpus, the pid of run_ensemble's process, chunk). The process
+    that called run_ensemble is never pinned, so a pool that runs its jobs
+    in-process leaves the caller's mask alone. A failed pin leaves the chunk
+    unpinned. _run_chunk is read from the module here, in the worker.
+    """
+    cpus, owner, chunk = job
+    if cpus is not None and os.getpid() != owner:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except (AttributeError, OSError, ValueError):
+            pass
+    return _run_chunk(chunk)
+
+
 def empirical_outage(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Fraction of samples <= each grid value."""
     order = np.sort(samples)
@@ -364,8 +406,10 @@ def run_ensemble(
         # loads numpy.random; built before the fork, every child inherits it
         # instead of importing it at once with the others.
         _seed_words_type()
+        owner = os.getpid()
+        pinned = [(cpus, owner, job) for cpus, job in zip(_cpu_shares(len(jobs)), jobs)]
         with Pool(processes=len(jobs)) as pool:
-            parts = pool.map(_run_chunk, jobs)
+            parts = pool.map(_pinned_chunk, pinned)
     cs, cc, gn, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))
 
     return EnsembleResult(

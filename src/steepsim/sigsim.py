@@ -27,6 +27,17 @@ from .linops import sample_cn, sample_cn_matrix  # noqa: F401
 # antenna row (16 bytes per complex symbol), not the 16*m bytes of an array
 # over the whole run (8 MB at m = 500 000)
 SYMBOL_BLOCK = 4096
+# Largest bias that float64 rounding adds to an empirical variance, per unit
+# of echo power. Each residual r - s is a difference of floats: the echo
+# s + h_BA^T X_A (plus forwarded noise), with power 1 + ||h_BA||^2 per
+# symbol, passes through the observation, the probe cancellation, the
+# projection onto the receive vector and the subtraction of s. Each of those
+# eight or so roundings errs by at most u = 2^-53 of the echo, so together
+# they add about 8*u^2*(1 + ||h_BA||^2) to mean |r - s|^2; twice that is the
+# bound. Over 150 random configs with sigma2_A = sigma2_B = 1e-90, where
+# Alice's empirical variance is rounding alone, it measured at most
+# 3.5*u^2*(1 + ||h_BA||^2), for n_A and n_E up to 32.
+ROUNDING_BIAS = 16 * 2.0**-106
 
 
 def run_phase1(
@@ -115,8 +126,9 @@ def variance_report(
     """Run both phases plus receivers and compare empirical vs closed form.
 
     Returns a dict with the analytic variances, their empirical estimates,
-    the standard errors of those estimates, and the residual-covariance
-    comparison. The variance estimators average |v|^2 over m symbols, so
+    the standard errors of those estimates, the rounding floor below which
+    an empirical variance cannot resolve its analytic value, and the
+    residual-covariance comparison. The variance estimators average |v|^2 over m symbols, so
     each has standard error (analytic value)/sqrt(m); covariance entries have
     standard error sqrt(R_ii*R_jj/m).
 
@@ -169,6 +181,13 @@ def variance_report(
     return {
         "m": m,
         "p_b_prime": p_b_prime,
+        # a variance below this floor would have its rounding bias exceed a
+        # tenth of its standard error variance/sqrt(m), so its deviation
+        # measures rounding rather than the closed form. The residual
+        # covariance never gets there: its diagonal entries exceed
+        # 1/(1 + P_A*||G_A e_i||^2/(n_A*sigma2_EA)), about 1e-12 at the
+        # largest accepted probe SNR.
+        "rounding_floor": 10.0 * math.sqrt(m) * ROUNDING_BIAS * (1.0 + norm2(ch.h_BA)),
         "sigma2_vA": var_a,
         "sigma2_vA_emp": sum_a / m,
         "sigma2_vA_se": var_a / math.sqrt(m),

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from steepsim.channel import (
     sample_realization,
 )
 from steepsim.linops import sample_cn
+from steepsim.mc import run_ensemble, write_outputs
 
 
 def _cfg(**kw):
@@ -41,6 +43,25 @@ def test_config_rejects_bad_fields():
         _cfg(gamma=1.5)
     with pytest.raises(ValueError):
         _cfg(gamma=-0.1)
+    for name, value in [("P_A_dB", True), ("gamma", True), ("P_B_dB", np.bool_(False)),
+                        ("P_A_dB", "20"), ("gamma", "0.2"), ("sigma2_B", None),
+                        ("sigma2_EA", 1j), ("sigma2_A", [1.0])]:
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            _cfg(**{name: value})
+    for name, value in [("P_B_dB", float("inf")), ("sigma2_EB", np.float32("nan")), ("gamma", 10**400)]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            _cfg(**{name: value})
+
+
+def test_config_stores_real_fields_as_float(tmp_path):
+    cfg = _cfg(P_A_dB=np.float32(20), P_B_dB=30, sigma2_B=np.float16(0.5), gamma=np.int8(1))
+    values = [cfg.P_A_dB, cfg.P_B_dB, cfg.sigma2_B, cfg.gamma]
+    assert [type(v) for v in values] == [float] * 4
+    assert values == [20.0, 30.0, 0.5, 1.0]
+    manifest = write_outputs(run_ensemble(cfg, trials=3, seed=1), tmp_path)
+    written = json.loads((tmp_path / "manifest.json").read_text(encoding="ascii"))
+    assert written == json.loads(json.dumps(manifest))
+    assert written["config"]["P_A_dB"] == 20.0
 
 
 @pytest.mark.parametrize("value", [np.int64(3), np.int32(3), np.uint8(3), 3])

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import string
 import tempfile
 from pathlib import Path
@@ -253,6 +254,20 @@ def test_verify_passes_on_healthy_config(cfg_file, capsys):
     assert rc == 0
     assert out.count("PASS") == 3
     assert "FAIL" not in out
+
+
+def test_verify_reports_unresolved_variance(cfg_file, capsys):
+    # sigma2_vA is about 3.5e-35 here; the oracle's empirical value, 4e-32,
+    # is float64 rounding, and its deviation used to read 163736 se (exit 2)
+    rc = main(["verify", "--config", cfg_file, "--set", "sigma2_B=8.48e-34",
+               "--set", "sigma2_A=2.27e-34", "--m", "20000", "--seed", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert re.fullmatch(
+        r"sigma2_vA: analytic = 3\.52\d*e-35, empirical = \S+, rounding floor = \S+ UNRESOLVED",
+        lines[1],
+    )
+    assert lines[2].endswith("PASS") and lines[3].endswith("PASS")
 
 
 def test_verify_rejects_tiny_block(cfg_file, capsys):
@@ -582,6 +597,8 @@ def test_ensemble_fuzz_exits_cleanly(inputs, trials, seed, workers):
 @example(inputs=(_BASE_TEXT, []), seed=1, m=10**11)
 @example(inputs=(_BASE_TEXT, []), seed=1, m=10**7 + 1)
 @example(inputs=(_BASE_TEXT, ["sigma2_EB=1e-20"]), seed=1, m=1000)
+# a variance below the oracle's rounding floor, which used to exit 2
+@example(inputs=(_BASE_TEXT, ["sigma2_B=8.48e-34", "sigma2_A=2.27e-34"]), seed=1, m=20000)
 def test_verify_fuzz_exits_cleanly(inputs, seed, m):
     with tempfile.TemporaryDirectory() as tmp:
         rc, out = _run_fuzzed("verify", inputs, ["--seed", str(seed), "--m", str(m)], tmp)

@@ -8,6 +8,7 @@ bytes at any worker count.
 import csv
 import dataclasses
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from steepsim.mc import (
     _analyze_block,
     _beta,
     _child_normals,
+    _cpu_shares,
     _log2_ratio,
     _norm2,
     _normals_per_trial,
@@ -198,6 +200,8 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatc
 
     monkeypatch.setattr(mc, "Pool", StandInPool)
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
+    # the chunks run in this process, which must never be pinned
+    monkeypatch.setattr(os, "sched_setaffinity", _forbid_pin, raising=False)
     cfg = _cfg()
     got = run_ensemble(cfg, trials=trials, seed=4, workers=workers)
     assert sizes == pool_sizes
@@ -207,10 +211,84 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatc
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
 
+def _forbid_pin(*args):
+    raise AssertionError("sched_setaffinity called in run_ensemble's own process")
+
+
 def test_worker_count_bounded(monkeypatch):
     monkeypatch.setattr(mc, "Pool", None)  # nothing may start a pool
     with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}"):
         run_ensemble(_cfg(), trials=10**6, seed=1, workers=MAX_WORKERS + 1)
+
+
+# each Pool worker runs its chunk on its share of the CPUs
+
+@pytest.mark.parametrize(
+    "mask, n, shares",
+    [
+        ({0, 1}, 2, [[0], [1]]),
+        ({0, 1}, 3, [[0], [1], [0]]),
+        ({3}, 2, [[3], [3]]),
+        (set(range(8)), 3, [[0, 3, 6], [1, 4, 7], [2, 5]]),
+        ({9, 2, 5, 7}, 4, [[2], [5], [7], [9]]),
+    ],
+)
+def test_cpu_shares_split_the_mask(mask, n, shares, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    assert _cpu_shares(n) == shares
+
+
+def test_cpu_shares_without_affinity_masks(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _cpu_shares(3) == [None, None, None]
+
+
+_MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+@pytest.mark.skipif(
+    len(_MASK) < 2 or not hasattr(os, "sched_setaffinity")
+    or multiprocessing.get_start_method() != "fork",
+    reason="needs 2 CPUs, affinity masks and forked Pool workers",
+)
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
+    cfg, trials = _cfg(), 10 * workers
+    want = run_ensemble(cfg, trials=trials, seed=2)
+    log = tmp_path / "chunks.txt"
+
+    def run_chunk(job):
+        # runs in a forked worker; the chunks are tiny, so one worker may
+        # take several of them, and each must be pinned on its own
+        with open(log, "a", encoding="ascii") as f:
+            f.write(" ".join(map(str, [job[2], *sorted(os.sched_getaffinity(0))])) + "\n")
+        return _run_chunk(job)
+
+    monkeypatch.setattr(mc, "_run_chunk", run_chunk)
+    before = os.sched_getaffinity(0)
+    got = run_ensemble(cfg, trials=trials, seed=2, workers=workers)
+    assert os.sched_getaffinity(0) == before
+    ran = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    shares = [_MASK[i::workers] if workers <= len(_MASK) else [_MASK[i % len(_MASK)]]
+              for i in range(workers)]
+    assert ran == [(trials * i // workers, *share) for i, share in enumerate(shares)]
+    assert got.c_steep.tobytes() == want.c_steep.tobytes()
+
+
+@pytest.mark.parametrize("platform", ["pin fails", "no affinity masks"])
+def test_pool_workers_run_unpinned_without_a_pin(platform, monkeypatch):
+    cfg = _cfg()
+    want = run_ensemble(cfg, trials=9, seed=3)
+    if platform == "pin fails":
+        def refuse(*args):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    got = run_ensemble(cfg, trials=9, seed=3, workers=2)
+    assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
 
 # differential test against the scalar API
