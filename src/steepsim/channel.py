@@ -80,6 +80,9 @@ class SystemConfig:
         sigma2_EB: noise variance at Eve during the echo phase.
         gamma: uplink/downlink mixing coefficient in [0, 1].
         power_convention: interpretation of P_B_dB.
+
+    Every float field takes a finite real number, a numpy scalar included,
+    and stores it as float; anything else, a bool too, raises ValueError.
     """
 
     n_A: int
@@ -95,18 +98,18 @@ class SystemConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type != "float":
+            if f.type != "float":  # annotations are strings in this module
                 continue
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{f.name} must be a real number, got {value!r}")
             try:
-                # a numpy float would not survive json.dump of the manifest
                 real = float(value)
-            except OverflowError:
+            except OverflowError:  # an int beyond float64's range
                 real = math.inf
             if not math.isfinite(real):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            # a numpy float would not survive json.dump of the manifest
             object.__setattr__(self, f.name, real)
         for name in ("n_A", "n_E"):
             value = getattr(self, name)

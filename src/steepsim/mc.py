@@ -337,7 +337,7 @@ def _pinned_chunk(job) -> tuple:
     if cpus is not None and os.getpid() != owner:
         try:
             os.sched_setaffinity(0, cpus)
-        except (AttributeError, OSError, ValueError):
+        except OSError:
             pass
     return _run_chunk(chunk)
 

@@ -128,9 +128,9 @@ def variance_report(
     Returns a dict with the analytic variances, their empirical estimates,
     the standard errors of those estimates, the rounding floor below which
     an empirical variance cannot resolve its analytic value, and the
-    residual-covariance comparison. The variance estimators average |v|^2 over m symbols, so
-    each has standard error (analytic value)/sqrt(m); covariance entries have
-    standard error sqrt(R_ii*R_jj/m).
+    residual-covariance comparison. The variance estimators average |v|^2
+    over m symbols, so each has standard error (analytic value)/sqrt(m);
+    covariance entries have standard error sqrt(R_ii*R_jj/m).
 
     Each phase fills one buffer of 2*m*(n_A + n_E + 1) normals with a single
     draw, in the order and count of the phase's three sample_cn and
