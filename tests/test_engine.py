@@ -172,6 +172,10 @@ def test_pool_children_inherit_numpy_random():
 
 # the Pool: one process per non-empty chunk
 
+def _forbid_pin(*args):
+    raise AssertionError("sched_setaffinity called in run_ensemble's own process")
+
+
 @pytest.mark.parametrize(
     "trials, workers, pool_sizes",
     [(1, 8, []), (3, 8, [3]), (3, MAX_WORKERS, [3]), (10, 4, [4]), (600, 1, [])],
@@ -209,10 +213,6 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatc
     assert chunks == [(trials * i // n_jobs, trials * (i + 1) // n_jobs) for i in range(n_jobs)]
     want = run_ensemble(cfg, trials=trials, seed=4)
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
-
-
-def _forbid_pin(*args):
-    raise AssertionError("sched_setaffinity called in run_ensemble's own process")
 
 
 def test_worker_count_bounded(monkeypatch):
@@ -269,8 +269,7 @@ def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
     got = run_ensemble(cfg, trials=trials, seed=2, workers=workers)
     assert os.sched_getaffinity(0) == before
     ran = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
-    shares = [_MASK[i::workers] if workers <= len(_MASK) else [_MASK[i % len(_MASK)]]
-              for i in range(workers)]
+    shares = _cpu_shares(workers)  # checked against fixed masks above
     assert ran == [(trials * i // workers, *share) for i, share in enumerate(shares)]
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
