@@ -24,20 +24,22 @@ restricts itself to its share of the parent's CPU affinity mask (see
 _cpu_shares). Left to the kernel, both workers of a 2-worker run on a 2-CPU
 machine were seen to share one CPU for the whole run, which made the run
 slower than one worker. The parent's own mask never changes, and a worker
-that cannot pin itself runs its chunk unpinned.
+that cannot pin itself runs its chunk unpinned. numpy.random is imported
+with this module, so every forked worker starts with it loaded.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from multiprocessing import Pool
+from multiprocessing import Pool, parent_process
 from pathlib import Path
 
 import numpy as np
+from numpy.random import Generator, PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .channel import PowerConvention, SystemConfig, echo_budget
@@ -151,32 +153,21 @@ def _pcg64_states(seed: int, ts: np.ndarray) -> np.ndarray:
     return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-@functools.cache
-def _seed_words_type() -> type:
-    """The seed sequence that hands precomputed seed words to PCG64.
+class SeedWords(ISeedSequence):
+    """Rows of _pcg64_states, handed out one per generate_state call.
 
-    Built on first use: subclassing ISeedSequence loads numpy.random, which
-    numpy 2 otherwise loads only when a stream is first drawn.
+    PCG64(seq) asks seq once, for 4 uint64 words, and seeds itself from them
+    in C. Any other request raises rather than hand out wrong words.
     """
-    from numpy.random.bit_generator import ISeedSequence
 
-    class SeedWords(ISeedSequence):
-        """Rows of _pcg64_states, handed out one per generate_state call.
+    def __init__(self, rows: np.ndarray):
+        self._rows = iter(rows)
 
-        PCG64(seq) asks seq once, for 4 uint64 words, and seeds itself from
-        them in C. Any other request raises rather than hand out wrong words.
-        """
-
-        def __init__(self, rows: np.ndarray):
-            self._rows = iter(rows)
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 passes the type np.uint64, which skips building a dtype
-            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise ValueError(f"seed words serve 4 uint64 words, not {n_words} of {dtype}")
-            return next(self._rows)
-
-    return SeedWords
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 passes the type np.uint64, which skips building a dtype
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError(f"seed words serve 4 uint64 words, not {n_words} of {dtype}")
+        return next(self._rows)
 
 
 def _child_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
@@ -186,10 +177,9 @@ def _child_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     """
     out = np.empty((stop - start, width))
     ts = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
-    seeds = _seed_words_type()(_pcg64_states(seed, ts))
-    generator, pcg64 = np.random.Generator, np.random.PCG64
+    seeds = SeedWords(_pcg64_states(seed, ts))
     for row in out:
-        generator(pcg64(seeds)).standard_normal(out=row)
+        Generator(PCG64(seeds)).standard_normal(out=row)
     return out
 
 
@@ -311,30 +301,28 @@ def _run_chunk(args) -> tuple:
 def _cpu_shares(n: int) -> list:
     """CPU sets for n chunks, split from this process's affinity mask.
 
-    With n at most the mask's size, chunk i gets every n-th CPU from the
-    i-th on, so the scheduler still chooses among several on a large
-    machine; beyond it, chunks take single CPUs in turn. A platform without
-    affinity masks gets None for every chunk.
+    Chunk i gets every n-th CPU of the mask from the (i mod size)-th on: with
+    n at most the mask's size the scheduler still chooses among several CPUs
+    on a large machine, and beyond it the chunks take single CPUs in turn. A
+    platform without affinity masks gets None for every chunk.
     """
     try:
         cpus = sorted(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return [None] * n
-    if n <= len(cpus):
-        return [cpus[i::n] for i in range(n)]
-    return [[cpus[i % len(cpus)]] for i in range(n)]
+    return [cpus[i % len(cpus)::n] for i in range(n)]
 
 
 def _pinned_chunk(job) -> tuple:
-    """_run_chunk in a Pool worker, pinned to its CPU set.
+    """_run_chunk on job = (cpus, chunk), pinned to cpus in a Pool worker.
 
-    job is (cpus, the pid of run_ensemble's process, chunk). The process
-    that called run_ensemble is never pinned, so a pool that runs its jobs
-    in-process leaves the caller's mask alone. A failed pin leaves the chunk
-    unpinned. _run_chunk is read from the module here, in the worker.
+    Only a child process pins itself, so a pool that runs its jobs in the
+    calling process leaves that process's mask alone. A failed pin leaves
+    the chunk unpinned. _run_chunk is read from the module here, in the
+    worker.
     """
-    cpus, owner, chunk = job
-    if cpus is not None and os.getpid() != owner:
+    cpus, chunk = job
+    if cpus is not None and parent_process() is not None:
         try:
             os.sched_setaffinity(0, cpus)
         except OSError:
@@ -402,14 +390,9 @@ def run_ensemble(
         parts = [_run_chunk(jobs[0])]
     else:
         # one process per non-empty chunk: with fewer trials than workers,
-        # the extra workers would have nothing to do. The seed words' type
-        # loads numpy.random; built before the fork, every child inherits it
-        # instead of importing it at once with the others.
-        _seed_words_type()
-        owner = os.getpid()
-        pinned = [(cpus, owner, job) for cpus, job in zip(_cpu_shares(len(jobs)), jobs)]
+        # the extra workers would have nothing to do
         with Pool(processes=len(jobs)) as pool:
-            parts = pool.map(_pinned_chunk, pinned)
+            parts = pool.map(_pinned_chunk, zip(_cpu_shares(len(jobs)), jobs))
     cs, cc, gn, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))
 
     return EnsembleResult(
@@ -435,8 +418,8 @@ def run_ensemble(
 
 
 def outage_at(result: EnsembleResult, rs: float) -> tuple[float, float]:
-    """Empirical (O_steep, O_conv) at one target rate."""
-    if rs < 0:
+    """Empirical (O_steep, O_conv) at one target rate; ValueError unless rs >= 0."""
+    if not rs >= 0:
         raise ValueError(f"rs must be >= 0, got {rs}")
     return float(np.mean(result.c_steep <= rs)), float(np.mean(result.c_conv <= rs))
 

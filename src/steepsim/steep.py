@@ -240,7 +240,14 @@ def sdof(n_A: int, n_B: int, n_E: int, m_A: int, m_B: int, delta: int) -> Fracti
     contributes min(n_B, (n_A-n_E)+) per surplus sample, Bob-side probing
     contributes min(n_A, (n_B-n_E)+), and perfect reciprocity (delta=1) adds
     n_A*n_B once.
+
+    Raises:
+        ValueError: unless n_A >= 1, n_B >= 1, n_E >= 0, m_A >= n_A,
+            m_B >= n_B and delta is 0 or 1.
     """
+    for name, value, low in (("n_A", n_A, 1), ("n_B", n_B, 1), ("n_E", n_E, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     if m_A < n_A:
         raise ValueError(f"m_A must be >= n_A, got m_A={m_A}, n_A={n_A}")
     if m_B < n_B:

@@ -286,9 +286,19 @@ def test_sdof_prints_exact_rational(capsys):
 
 
 def test_sdof_constraint_violation(capsys):
-    rc = main(["sdof", "--n_A", "4", "--n_E", "2", "--m_A", "2"])
-    assert rc == 1
-    assert "m_A" in capsys.readouterr().err
+    # all but the first used to end in a ZeroDivisionError or print a rate
+    for args, name in [
+        (["--n_A", "4", "--n_E", "2", "--m_A", "2"], "m_A"),
+        (["--n_A", "0", "--n_B", "0", "--n_E", "2", "--m_A", "0", "--m_B", "0"], "n_A"),
+        (["--n_A", "-1", "--n_E", "2", "--m_A", "100"], "n_A"),
+        (["--n_A", "4", "--n_E", "-3", "--m_A", "100"], "n_E"),
+        (["--n_A", "4", "--n_B", "-2", "--n_E", "2", "--m_A", "100", "--m_B", "-2"], "n_B"),
+    ]:
+        assert main(["sdof", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be >= ")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

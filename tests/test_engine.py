@@ -10,8 +10,6 @@ import dataclasses
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +30,7 @@ import steepsim.mc as mc
 from steepsim.mc import (
     BLOCK_TRIALS,
     MAX_WORKERS,
+    SeedWords,
     _analyze_block,
     _beta,
     _child_normals,
@@ -41,7 +40,6 @@ from steepsim.mc import (
     _normals_per_trial,
     _pcg64_states,
     _run_chunk,
-    _seed_words_type,
     run_ensemble,
     write_outputs,
 )
@@ -71,7 +69,10 @@ def reference_trial(cfg: SystemConfig, seed: int, t: int) -> tuple:
 
 # child streams
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+# 2**96 + 5 and 2**200 + 11 are 4 and 7 words, so the trial index is the
+# 5th or the 8th entropy word: beyond SeedSequence's 4-word pool, it goes
+# through the loop that mixes the extra words in
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**200 + 11])
 @pytest.mark.parametrize(
     "start, stop",
     [
@@ -96,78 +97,19 @@ def test_child_normals_match_default_rng(seed, start, stop):
 )
 def test_seed_words_serve_only_four_uint64_words(n_words, dtype):
     rows = _pcg64_states(7, np.arange(3, dtype=np.uint32))
-    seeds = _seed_words_type()(rows)
+    seeds = SeedWords(rows)
     with pytest.raises(ValueError, match="4 uint64 words"):
         seeds.generate_state(n_words, dtype)
 
 
 def test_seed_words_hand_out_rows_in_order():
     rows = _pcg64_states(7, np.arange(3, dtype=np.uint32))
-    seeds = _seed_words_type()(rows)
+    seeds = SeedWords(rows)
     for row, dtype in zip(rows, (np.uint64, "u8", np.dtype(np.uint64))):
         got = seeds.generate_state(4, dtype)
         assert got.dtype == np.uint64 and got.tolist() == row.tolist()
     want = np.random.SeedSequence([7, 1]).generate_state(4, np.uint64)
     assert rows[1].tolist() == want.tolist()
-
-
-_IMPORT_CHECK = """
-import sys
-import numpy
-before = "numpy.random" in sys.modules
-import steepsim.cli
-print(before, "numpy.random" in sys.modules)
-"""
-
-
-def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy 2 loads numpy.random on first use; the seed words must not load
-    # it at import, which would move its cost into every CLI start-up
-    src = Path(__file__).parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_CHECK], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    ).stdout.split()
-    if out[0] == "True":
-        pytest.skip("this numpy loads numpy.random with numpy itself")
-    assert out == ["False", "False"]
-
-
-_POOL_CHECK = """
-import sys
-import steepsim.mc as mc
-from steepsim.channel import SystemConfig
-
-class StandInPool:
-    def __init__(self, processes):
-        print("numpy.random" in sys.modules)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
-
-print("numpy.random" in sys.modules)
-mc.Pool = StandInPool
-mc.run_ensemble(SystemConfig(n_A=4, n_E=6, P_A_dB=20.0, P_B_dB=30.0), trials=8, seed=1, workers=2)
-"""
-
-
-def test_pool_children_inherit_numpy_random():
-    # built before the fork, the seed words' type is in every child, which
-    # would otherwise each import numpy.random on its first stream
-    src = Path(__file__).parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", _POOL_CHECK], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    ).stdout.split()
-    if out[0] == "True":
-        pytest.skip("this numpy loads numpy.random with numpy itself")
-    assert out == ["False", "True"]
 
 
 # the Pool: one process per non-empty chunk

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,8 +76,10 @@ def test_outage_at_max_sample_is_one(small_ensemble):
     )
     assert o_s == 1.0
     assert o_c == 1.0
-    with pytest.raises(ValueError):
-        outage_at(small_ensemble, -0.5)
+    # NaN used to slip past the check and read as (0.0, 0.0)
+    for rs in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="rs must be >= 0"):
+            outage_at(small_ensemble, rs)
 
 
 def test_outage_at_interior_matches_recount(small_ensemble):

@@ -17,7 +17,6 @@ from steepsim.sigsim import (
     variance_report,
 )
 from steepsim.steep import mmse_residual_cov
-from trace_csv import trace_to_csv
 
 CFG = SystemConfig(n_A=4, n_E=3, P_A_dB=20.0, P_B_dB=30.0)
 DATA = Path(__file__).parent / "data"
@@ -129,29 +128,6 @@ def test_eve_receiver_fills_trace():
     tr = _run_block(CFG, ch, 32, np.random.default_rng(10))
     assert tr["r_E"].shape == (32,)
     assert tr["X_hat"].shape == (4, 32)
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    ch = sample_realization(CFG, np.random.default_rng(12))
-    tr = _run_block(CFG, ch, 10, np.random.default_rng(13))
-    path = tmp_path / "trace.csv"
-    trace_to_csv(tr, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,s_re,s_im,r_A_re,r_A_im,r_E_re,r_E_im"
-    assert len(lines) == 11
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == tr["s"][0].real
-    assert float(first[4]) == tr["r_A"][0].imag
-
-
-def test_trace_csv_requires_completed_run(tmp_path):
-    ch = sample_realization(CFG, np.random.default_rng(14))
-    X_A = sample_cn_matrix(CFG.n_A, 4, np.random.default_rng(15))
-    w_B, W_EA = np.zeros(4, dtype=complex), np.zeros((CFG.n_E, 4), dtype=complex)
-    y_B, Y_EA = run_phase1(CFG, ch, X_A, w_B, W_EA)
-    with pytest.raises(ValueError):
-        trace_to_csv({"X_A": X_A, "y_B": y_B, "Y_EA": Y_EA}, tmp_path / "trace.csv")
 
 
 @pytest.mark.parametrize(

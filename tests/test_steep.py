@@ -233,6 +233,18 @@ def test_sdof_rejects_short_probing():
         sdof(4, 2, 2, 100, 1, 0)
     with pytest.raises(ValueError):
         sdof(4, 1, 2, 100, 1, 2)
+    # antenna counts below one (n_E below zero), even where the sample
+    # counts would allow them; 0/0 used to raise ZeroDivisionError
+    for args, name in [
+        ((0, 0, 2, 0, 0, 0), "n_A"),
+        ((-1, 1, 2, 100, 1, 0), "n_A"),
+        ((4, 1, -3, 100, 1, 0), "n_E"),
+        ((4, -2, 2, 100, -2, 0), "n_B"),
+        ((4, 0, 2, 100, 0, 0), "n_B"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            sdof(*args)
+    assert sdof(4, 1, 0, 100, 1, 0) == Fraction(96, 101)
 
 
 def test_key_rate_positive_and_hurt_by_eavesdropper_antennas():
