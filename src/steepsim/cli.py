@@ -9,8 +9,9 @@ given in dB are converted as linear = 10^(dB/10).
 Exit codes are stable for scripting, and main alone maps errors to them:
 0 success; 1 validation error (a ValueError, or an OSError reading the
 config); 2 runtime or tolerance failure (InfeasiblePowerError,
-DegenerateChannelError, or an OSError writing outputs), where single and
-verify name the seed of the failing realization.
+DegenerateChannelError, or an OSError: an output that cannot be written or
+the ChildProcessError of a dead ensemble worker), where single and verify
+name the seed of the failing realization.
 """
 from __future__ import annotations
 

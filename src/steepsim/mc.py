@@ -19,22 +19,24 @@ complement of 1 + beta >= 1, so neither factorization can fail.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
 the scalar API, so every float equals the scalar result bit for bit.
 
-With several workers, each chunk runs in a forked Pool worker that first
-restricts itself to its share of the parent's CPU affinity mask (see
-_cpu_shares). Left to the kernel, both workers of a 2-worker run on a 2-CPU
-machine were seen to share one CPU for the whole run, which made the run
-slower than one worker. The parent's own mask never changes, and a worker
-that cannot pin itself runs its chunk unpinned. numpy.random is imported
-with this module, so every forked worker starts with it loaded.
+With several workers, each chunk runs in a ProcessPoolExecutor worker
+(forked on Linux) that first pins itself to its share of the parent's CPU
+affinity mask (see _cpu_shares). Left to the kernel, both workers of a
+2-worker run on a 2-CPU machine were seen to share one CPU for the whole
+run, which made the run slower than one worker. The parent's own mask never
+changes, a worker that cannot pin itself runs unpinned, and a worker that
+dies fails the run at once. numpy.random is imported with this module, so
+every forked worker starts with it loaded.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
-from multiprocessing import Pool, parent_process
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,9 @@ MAX_TRIALS = 2**32
 # beyond the CPUs of the affinity mask share a CPU and only add start-up cost;
 # the bound keeps a mistyped count from forking thousands of processes
 MAX_WORKERS = 256
+# workers fork on Linux, inheriting the loaded modules; elsewhere they start
+# the platform's default way: macOS deems fork unsafe and Windows has none
+_START_METHOD = "fork" if sys.platform == "linux" else None
 
 
 @dataclass
@@ -313,16 +318,14 @@ def _cpu_shares(n: int) -> list:
     return [cpus[i % len(cpus)::n] for i in range(n)]
 
 
-def _pinned_chunk(job) -> tuple:
-    """_run_chunk on job = (cpus, chunk), pinned to cpus in a Pool worker.
+def _pinned_chunk(cpus, chunk) -> tuple:
+    """_run_chunk on chunk in a worker process, pinned to cpus.
 
-    Only a child process pins itself, so a pool that runs its jobs in the
-    calling process leaves that process's mask alone. A failed pin leaves
-    the chunk unpinned. _run_chunk is read from the module here, in the
-    worker.
+    Only worker processes run this, so the calling process's mask never
+    changes. A failed pin leaves the chunk unpinned. _run_chunk is read from
+    the module here, in the worker.
     """
-    cpus, chunk = job
-    if cpus is not None and parent_process() is not None:
+    if cpus is not None:
         try:
             os.sched_setaffinity(0, cpus)
         except OSError:
@@ -362,6 +365,7 @@ def run_ensemble(
         InfeasiblePowerError: if the configured budget cannot cover the
             probe-noise floor (checked once, before any trial runs).
         DegenerateChannelError: if a draw has a zero-norm response.
+        ChildProcessError: if a worker process dies before its chunk is done.
         ValueError: on a trial count outside [1, MAX_TRIALS], a negative
             seed, a worker count outside [1, MAX_WORKERS], or an unsorted or
             non-finite grid. All are checked before any trial runs.
@@ -389,10 +393,16 @@ def run_ensemble(
     if len(jobs) == 1:
         parts = [_run_chunk(jobs[0])]
     else:
+        # loaded here, with the pool: sdof, single and verify never need it
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         # one process per non-empty chunk: with fewer trials than workers,
         # the extra workers would have nothing to do
-        with Pool(processes=len(jobs)) as pool:
-            parts = pool.map(_pinned_chunk, zip(_cpu_shares(len(jobs)), jobs))
+        try:
+            with ProcessPoolExecutor(len(jobs), mp_context=get_context(_START_METHOD)) as pool:
+                parts = list(pool.map(_pinned_chunk, _cpu_shares(len(jobs)), jobs))
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"seed {seed}: a worker process died") from exc
     cs, cc, gn, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))
 
     return EnsembleResult(
@@ -437,6 +447,8 @@ def gain_distribution(result: EnsembleResult) -> dict:
 
 # one samples.csv row: %.17g reads back as the same float64, %d a flag as 0/1
 _SAMPLE_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
+# rows formatted at once: a write adds ~15 MB to peak memory at any trial count
+SAMPLE_WRITE_ROWS = 65536
 
 
 def write_outputs(result: EnsembleResult, outdir) -> dict:
@@ -444,22 +456,24 @@ def write_outputs(result: EnsembleResult, outdir) -> dict:
 
     Floats are written with 17 significant digits so runs reproduce
     bit-exactly. Returns the manifest as written; its "config" holds every
-    SystemConfig field plus the grid.
+    SystemConfig field plus the grid. An old manifest.json goes first, so a
+    failed write leaves no manifest beside CSVs it does not describe.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
 
     samples = outdir / "samples.csv"
+    columns = (result.c_steep, result.c_conv, result.gain, result.natural_outage)
     with open(samples, "w", encoding="ascii", newline="") as f:
         f.write("trial,c_steep,c_conv,gain,natural_outage\n")
-        n = result.trials
-        values = [None] * (5 * n)
-        values[0::5] = range(n)
-        values[1::5] = result.c_steep.tolist()
-        values[2::5] = result.c_conv.tolist()
-        values[3::5] = result.gain.tolist()
-        values[4::5] = result.natural_outage.tolist()
-        f.write(_SAMPLE_ROW * n % tuple(values))
+        for lo in range(0, result.trials, SAMPLE_WRITE_ROWS):
+            rows = range(lo, min(lo + SAMPLE_WRITE_ROWS, result.trials))
+            values = [None] * (5 * len(rows))
+            values[0::5] = rows
+            for j, col in enumerate(columns, 1):
+                values[j::5] = col[lo:rows.stop].tolist()
+            f.write(_SAMPLE_ROW * len(rows) % tuple(values))
 
     outage = outdir / "outage.csv"
     with open(outage, "w", encoding="ascii", newline="") as f:

@@ -165,6 +165,20 @@ def test_ensemble_rerun_is_byte_identical(cfg_file, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_failed_rerun_leaves_no_stale_manifest(cfg_file, tmp_path, capsys):
+    out = tmp_path / "mixed"
+    args = ["ensemble", "--config", cfg_file, "--out", str(out)]
+    assert main(args + ["--trials", "500", "--seed", "1"]) == 0
+    (out / "histogram.csv").unlink()
+    (out / "histogram.csv").mkdir()  # the rerun cannot write it
+    capsys.readouterr()
+    assert main(args + ["--trials", "900", "--seed", "2"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert len((out / "samples.csv").read_text().splitlines()) == 901
+    # no manifest describes the 500-trial seed-1 run beside the new samples
+    assert not (out / "manifest.json").exists()
+
+
 def test_ensemble_zero_trials_exit_code(cfg_file, tmp_path, capsys):
     rc = main([
         "ensemble", "--config", cfg_file, "--trials", "0",

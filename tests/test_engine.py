@@ -5,11 +5,14 @@ for bit, agree with the scalar per-realization API on every trial, match
 rates stored from the scalar per-trial loop it replaced, and write the same
 bytes at any worker count.
 """
+import concurrent.futures.process
 import csv
 import dataclasses
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,24 +115,21 @@ def test_seed_words_hand_out_rows_in_order():
     assert rows[1].tolist() == want.tolist()
 
 
-# the Pool: one process per non-empty chunk
-
-def _forbid_pin(*args):
-    raise AssertionError("sched_setaffinity called in run_ensemble's own process")
-
+# the process pool: one process per non-empty chunk
 
 @pytest.mark.parametrize(
     "trials, workers, pool_sizes",
     [(1, 8, []), (3, 8, [3]), (3, MAX_WORKERS, [3]), (10, 4, [4]), (600, 1, [])],
 )
 def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatch):
-    sizes, chunks = [], []
+    sizes, starts, chunks, pins = [], [], [], []
 
-    class StandInPool:
-        """Records the pool size and runs the chunks in this process."""
+    class StandInExecutor:
+        """Records the pool size and start method; runs the chunks here."""
 
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+            starts.append(mp_context.get_start_method())
 
         def __enter__(self):
             return self
@@ -137,33 +137,39 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatc
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     def run_chunk(job):
         chunks.append(job[2:])
         return _run_chunk(job)
 
-    monkeypatch.setattr(mc, "Pool", StandInPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", StandInExecutor)
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
-    # the chunks run in this process, which must never be pinned
-    monkeypatch.setattr(os, "sched_setaffinity", _forbid_pin, raising=False)
+    # the chunks run in this process, which must never be pinned: record
+    # the CPU set each chunk asks for instead
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus), raising=False)
     cfg = _cfg()
     got = run_ensemble(cfg, trials=trials, seed=4, workers=workers)
     assert sizes == pool_sizes
+    fork = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
+    assert starts == [fork] * len(pool_sizes)
     n_jobs = min(trials, workers)
     assert chunks == [(trials * i // n_jobs, trials * (i + 1) // n_jobs) for i in range(n_jobs)]
+    shares = _cpu_shares(n_jobs) if pool_sizes else []
+    assert pins == [share for share in shares if share is not None]
     want = run_ensemble(cfg, trials=trials, seed=4)
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
 
 def test_worker_count_bounded(monkeypatch):
-    monkeypatch.setattr(mc, "Pool", None)  # nothing may start a pool
+    # nothing may start a pool
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", None)
     with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}"):
         run_ensemble(_cfg(), trials=10**6, seed=1, workers=MAX_WORKERS + 1)
 
 
-# each Pool worker runs its chunk on its share of the CPUs
+# each worker runs its chunk on its share of the CPUs
 
 @pytest.mark.parametrize(
     "mask, n, shares",
@@ -189,9 +195,8 @@ _MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 
 
 @pytest.mark.skipif(
-    len(_MASK) < 2 or not hasattr(os, "sched_setaffinity")
-    or multiprocessing.get_start_method() != "fork",
-    reason="needs 2 CPUs, affinity masks and forked Pool workers",
+    len(_MASK) < 2 or not hasattr(os, "sched_setaffinity") or mc._START_METHOD != "fork",
+    reason="needs 2 CPUs, affinity masks and forked workers",
 )
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
@@ -230,6 +235,64 @@ def test_pool_workers_run_unpinned_without_a_pin(platform, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     got = run_ensemble(cfg, trials=9, seed=3, workers=2)
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
+
+
+# a worker that dies, as under the OOM killer, fails the run at once. The run
+# goes in a child interpreter, so that a pool that waits for the dead worker
+# fails this test by its timeout instead of hanging the suite.
+_DYING_WORKER = """
+import os, signal, sys, time
+import steepsim.mc as mc
+from steepsim.channel import SystemConfig
+from steepsim.cli import main
+
+run_chunk = mc._run_chunk
+
+
+def dying_chunk(job):
+    if job[2] > 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_chunk(job)
+
+
+mc._run_chunk = dying_chunk
+if sys.argv[1] == "api":
+    cfg = SystemConfig(n_A=4, n_E=6, P_A_dB=20.0, P_B_dB=30.0)
+    t0 = time.monotonic()
+    try:
+        mc.run_ensemble(cfg, trials=600, seed=9, workers=2)
+    except ChildProcessError as exc:
+        print(time.monotonic() - t0, exc)
+else:
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(mc._START_METHOD != "fork", reason="workers inherit the dying chunk by fork")
+@pytest.mark.parametrize("entry", ["api", "cli"])
+def test_dead_worker_fails_the_run(entry, tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_A = 4\nn_E = 6\nP_A_dB = 20\nP_B_dB = 30\n")
+    argv = ["api"] if entry == "api" else [
+        "ensemble", "--config", str(cfg), "--trials", "600", "--seed", "9",
+        "--workers", "2", "--out", str(out),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(mc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c", _DYING_WORKER, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    if entry == "api":
+        assert (proc.returncode, proc.stderr) == (0, "")
+        elapsed, message = proc.stdout.split(" ", 1)
+        assert float(elapsed) < 10.0
+        assert message == "seed 9: a worker process died\n"
+    else:
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed 9: a worker process died\n"
+        assert proc.stdout == ""
+        assert not out.exists()
 
 
 # differential test against the scalar API

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import steepsim
+import steepsim.mc as mc
 from steepsim.channel import InfeasiblePowerError, PowerConvention, SystemConfig
 from steepsim.mc import (
     DEFAULT_RS_GRID,
@@ -212,3 +213,16 @@ def test_written_samples_identical_across_worker_counts(tmp_path, small_ensemble
     write_outputs(par, d2)
     assert (d1 / "samples.csv").read_bytes() == (d2 / "samples.csv").read_bytes()
     assert (d1 / "outage.csv").read_bytes() == (d2 / "outage.csv").read_bytes()
+
+
+# 2000 trials in blocks of 7 (a 5-row last block), 500 (no partial block)
+# and 1999 (a 1-row last block), against one unblocked write
+@pytest.mark.parametrize("rows", [7, 500, 1999])
+def test_samples_identical_across_write_blocks(rows, tmp_path, small_ensemble, monkeypatch):
+    monkeypatch.setattr(mc, "SAMPLE_WRITE_ROWS", small_ensemble.trials)
+    write_outputs(small_ensemble, tmp_path / "whole")
+    monkeypatch.setattr(mc, "SAMPLE_WRITE_ROWS", rows)
+    write_outputs(small_ensemble, tmp_path / "blocks")
+    whole = (tmp_path / "whole" / "samples.csv").read_bytes()
+    assert (tmp_path / "blocks" / "samples.csv").read_bytes() == whole
+    assert whole.count(b"\n") == small_ensemble.trials + 1
