@@ -6,15 +6,16 @@ the achievable sum is the clamped per-phase secrecy capacities added together.
 The baseline spends the full configured P_B in phase 2 regardless of the
 power convention used for the echo scheme; the probe-echo side derives its
 reference power from the same budget, which is the intended comparison.
+The gain over the probe-echo scheme comes from the caller's c_steep of the
+same realization; this module computes no c_steep of its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelRealization, SystemConfig, norm2
-from .linops import DegenerateChannelError
-from .steep import SteepAnalysis, c_steep, log2_ratio
+from .channel import ChannelRealization, SystemConfig, norm2, response_norm2
+from .steep import SteepAnalysis, log2_ratio
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,7 @@ class BaselineAnalysis:
 
 
 def conventional(
-    cfg: SystemConfig,
-    ch: ChannelRealization,
-    steep: SteepAnalysis | None = None,
+    cfg: SystemConfig, ch: ChannelRealization, steep: SteepAnalysis
 ) -> BaselineAnalysis:
     """Analyze the two-way baseline on one realization.
 
@@ -45,16 +44,14 @@ def conventional(
     whose sign matches the SNR comparison exactly.
 
     Args:
-        steep: analysis of the same realization, reused for the gain; computed
-            here when omitted.
+        steep: steep.c_steep(cfg, ch), the probe-echo analysis of the same
+            realization; the gain is its clamped rate minus c_conv.
 
     Raises:
-        DegenerateChannelError: if either legitimate link has zero norm.
+        DegenerateChannelError: if h_BA or h_AB has zero norm.
     """
-    nh_BA = norm2(ch.h_BA)
-    nh_AB = norm2(ch.h_AB)
-    if nh_BA == 0.0 or nh_AB == 0.0:
-        raise DegenerateChannelError("legitimate link with zero norm")
+    nh_BA = response_norm2(ch, "h_BA")
+    nh_AB = response_norm2(ch, "h_AB")
     g_A = ch.G_A @ (ch.h_BA.conj() / math.sqrt(nh_BA))
     snr_B = cfg.P_A * nh_BA / cfg.sigma2_B
     snr_EA = cfg.P_A * norm2(g_A) / cfg.sigma2_EA
@@ -63,8 +60,6 @@ def conventional(
     c1 = log2_ratio((snr_B - snr_EA) / (1.0 + snr_EA), snr_B, snr_EA)
     c2 = log2_ratio((snr_A - snr_EB) / (1.0 + snr_EB), snr_A, snr_EB)
     c_conv = max(0.0, c1) + max(0.0, c2)
-    if steep is None:
-        steep = c_steep(cfg, ch)
     return BaselineAnalysis(
         snr_B=snr_B,
         snr_EA=snr_EA,

@@ -168,6 +168,15 @@ def norm2(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
+def response_norm2(ch: ChannelRealization, name: str) -> float:
+    """Squared norm of the response ch.<name>: the scalar API's one zero-norm
+    rule, which raises DegenerateChannelError naming a zero-norm response."""
+    n = norm2(getattr(ch, name))
+    if n == 0.0:
+        raise DegenerateChannelError(f"degenerate draw: {name} has zero norm")
+    return n
+
+
 def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization with i.i.d. CN(0,1) entries.
 
@@ -186,8 +195,7 @@ def sample_realization(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRe
     h_AB = cfg.gamma * h_BA + (1.0 - cfg.gamma) * w
     ch = ChannelRealization(h_BA=h_BA, h_AB=h_AB, G_A=G_A, g_B=g_B)
     for name in ("h_BA", "h_AB", "G_A", "g_B"):
-        if norm2(getattr(ch, name)) == 0.0:
-            raise DegenerateChannelError(f"degenerate draw: {name} has zero norm")
+        response_norm2(ch, name)
     return ch
 
 

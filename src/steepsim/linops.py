@@ -7,7 +7,6 @@ positive-definite solver. Vectors and matrices are plain complex128 ndarrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,19 +72,11 @@ def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarr
     return cn_from_normals(re, im)
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition Q diag(vals) Q^H with eigenvalues sorted descending."""
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition m = Q diag(vals) Q^H of a Hermitian matrix.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray) -> HermitianEig:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues come out descending so that the zero modes of a rank-deficient
-    Gram matrix occupy the trailing slots.
+    Returns (vals, Q). Eigenvalues come out descending so that the zero modes
+    of a rank-deficient Gram matrix occupy the trailing slots.
 
     Raises:
         ValueError: if m is not Hermitian within HERMITIAN_TOL (relative).
@@ -95,7 +86,7 @@ def hermitian_eig(m: np.ndarray) -> HermitianEig:
     if float(np.max(np.abs(m - m.conj().T))) > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
-    return HermitianEig(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def solve_psd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:

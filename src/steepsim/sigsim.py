@@ -2,8 +2,9 @@
 
 Generates actual probe, echo and noise waveforms for one channel realization
 and runs the closed-form receivers on them, serving as an empirical oracle
-for the analytic effective-noise variances. All quantities are conditioned on
-the channel realization: the only randomness is probes, secrets and noise.
+for the effective-noise variances of steep.c_steep. All quantities are
+conditioned on the channel realization: the only randomness is probes,
+secrets and noise.
 
 The signal chain is four steps on drawn unit-variance CN(0,1) waveforms, one
 column per symbol: run_phase1, run_phase2, alice_receiver and eve_receiver.
@@ -17,10 +18,11 @@ import math
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemConfig, norm2, reference_power
+from .channel import ChannelRealization, SystemConfig, norm2
 from . import steep as _steep
 from .linops import cn_from_normals, cn_parts
 # not called here: the benchmark's tracer wraps them under steepsim.sigsim
+from .channel import reference_power  # noqa: F401
 from .linops import sample_cn, sample_cn_matrix  # noqa: F401
 
 # symbols per column block of variance_report: a block array takes 64 kB per
@@ -130,7 +132,9 @@ def variance_report(
     an empirical variance cannot resolve its analytic value, and the
     residual-covariance comparison. The variance estimators average |v|^2
     over m symbols, so each has standard error (analytic value)/sqrt(m);
-    covariance entries have standard error sqrt(R_ii*R_jj/m).
+    covariance entries have standard error sqrt(R_ii*R_jj/m). p_b_prime and
+    the analytic variances are the fields of one steep.c_steep(cfg, ch), the
+    analysis that `steepsim single` prints.
 
     Each phase fills one buffer of 2*m*(n_A + n_E + 1) normals with a single
     draw, in the order and count of the phase's three sample_cn and
@@ -142,7 +146,8 @@ def variance_report(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n_A, n_E = cfg.n_A, cfg.n_E
-    p_b_prime = reference_power(cfg, ch)
+    sa = _steep.c_steep(cfg, ch)
+    p_b_prime = sa.p_b_prime
     gain = mmse_gain(cfg, ch)
     blocks = [(a, min(a + SYMBOL_BLOCK, m)) for a in range(0, m, SYMBOL_BLOCK)]
     buf = np.empty(2 * m * (n_A + n_E + 1))
@@ -171,8 +176,7 @@ def variance_report(
         sum_a += float(np.sum(np.abs(r_A - s) ** 2))
         sum_e += float(np.sum(np.abs(r_E - s) ** 2))
 
-    var_a = _steep.sigma2_vA(cfg, ch, p_b_prime)
-    var_e = _steep.sigma2_vE(cfg, ch, p_b_prime)
+    var_a, var_e = sa.sigma2_vA, sa.sigma2_vE
     cov_emp = delta_gram / m
     cov = _steep.mmse_residual_cov(cfg, ch.G_A)
     d = np.real(np.diag(cov))

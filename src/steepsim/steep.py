@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemConfig, norm2, reference_power
-from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix, solve_psd
+from .channel import ChannelRealization, SystemConfig, norm2, reference_power, response_norm2
+from .linops import sample_cn, sample_cn_matrix, solve_psd
 # not called here: the benchmark's tracer wraps it under steepsim.steep
 from .linops import hermitian_eig  # noqa: F401
 
@@ -130,44 +130,26 @@ def beta(cfg: SystemConfig, ch: ChannelRealization) -> float:
     return nh - norm2(np.linalg.cholesky(b)[n_E, :n_E])
 
 
-def sigma2_vA(cfg: SystemConfig, ch: ChannelRealization, P_B_prime: float) -> float:
-    """Effective noise variance on Alice's secret estimate."""
-    nh = norm2(ch.h_AB)
-    if nh == 0.0:
-        raise DegenerateChannelError("uplink h_AB has zero norm")
-    return (cfg.n_A / cfg.P_A) * cfg.sigma2_B + cfg.sigma2_A / (P_B_prime * nh)
-
-
-def sigma2_vE(
-    cfg: SystemConfig,
-    ch: ChannelRealization,
-    P_B_prime: float,
-    beta_val: float | None = None,
-) -> float:
-    """Effective noise variance on Eve's secret estimate.
-
-    Pass beta_val to reuse an already computed beta; otherwise it is computed
-    here.
-    """
-    ng = norm2(ch.g_B)
-    if ng == 0.0:
-        raise DegenerateChannelError("Eve uplink g_B has zero norm")
-    if beta_val is None:
-        beta_val = beta(cfg, ch)
-    return beta_val + (cfg.n_A / cfg.P_A) * cfg.sigma2_B + cfg.sigma2_EB / (P_B_prime * ng)
-
-
 def c_steep(cfg: SystemConfig, ch: ChannelRealization) -> SteepAnalysis:
     """Secrecy capacity and companion quantities for one realization.
 
-    c_steep = log2(1 + 1/sigma2_vA) - log2(1 + 1/sigma2_vE), evaluated in a
-    form whose floating-point sign matches sigma2_vE - sigma2_vA exactly, so
+    The effective noise variances on Alice's and Eve's secret estimates are
+
+        sigma2_vA = (n_A/P_A)*sigma2_B + sigma2_A/(P_B'*||h_AB||^2)
+        sigma2_vE = beta + (n_A/P_A)*sigma2_B + sigma2_EB/(P_B'*||g_B||^2)
+
+    and c_steep = log2(1 + 1/sigma2_vA) - log2(1 + 1/sigma2_vE), evaluated in
+    a form whose floating-point sign matches sigma2_vE - sigma2_vA exactly, so
     the natural_outage flag and the capacity sign can never disagree.
+
+    Raises:
+        DegenerateChannelError: if h_AB or g_B has zero norm.
     """
     p_b_prime = reference_power(cfg, ch)
     b = beta(cfg, ch)
-    var_a = sigma2_vA(cfg, ch, p_b_prime)
-    var_e = sigma2_vE(cfg, ch, p_b_prime, beta_val=b)
+    floor = (cfg.n_A / cfg.P_A) * cfg.sigma2_B
+    var_a = floor + cfg.sigma2_A / (p_b_prime * response_norm2(ch, "h_AB"))
+    var_e = b + floor + cfg.sigma2_EB / (p_b_prime * response_norm2(ch, "g_B"))
     diff = var_e - var_a
     c = log2_ratio(diff / (var_a * (1.0 + var_e)), 1.0 / var_a, 1.0 / var_e)
     return SteepAnalysis(
@@ -186,7 +168,11 @@ def c_steep_large_pb(cfg: SystemConfig, ch: ChannelRealization) -> float:
 
     Equals log2(1 + alpha / (1 + (1 + 1/alpha)/beta)) with
     alpha = P_A/(n_A*sigma2_B); strictly positive whenever beta > 0.
+
+    Raises:
+        DegenerateChannelError: if h_BA has zero norm, which makes beta 0.
     """
+    response_norm2(ch, "h_BA")
     alpha = cfg.P_A / (cfg.n_A * cfg.sigma2_B)
     b = beta(cfg, ch)
     return math.log1p(alpha / (1.0 + (1.0 + 1.0 / alpha) / b)) / LN2
@@ -215,9 +201,12 @@ def natural_outage_condition(cfg: SystemConfig, ch: ChannelRealization, P_B_prim
     Outage holds iff A - E >= P_B' * beta, where A = sigma2_A/||h_AB||^2 and
     E = sigma2_EB/||g_B||^2 are the normalized return-channel attenuations for
     Alice and Eve. Evaluated independently of the capacity sign.
+
+    Raises:
+        DegenerateChannelError: if h_AB or g_B has zero norm.
     """
-    a_att = cfg.sigma2_A / norm2(ch.h_AB)
-    e_att = cfg.sigma2_EB / norm2(ch.g_B)
+    a_att = cfg.sigma2_A / response_norm2(ch, "h_AB")
+    e_att = cfg.sigma2_EB / response_norm2(ch, "g_B")
     return a_att - e_att >= P_B_prime * beta(cfg, ch)
 
 
@@ -225,9 +214,14 @@ def outage_power_threshold(cfg: SystemConfig, ch: ChannelRealization) -> float:
     """Reference power above which natural outage cannot happen.
 
     Zero when Alice's return attenuation is already no worse than Eve's.
+
+    Raises:
+        DegenerateChannelError: if h_AB or g_B has zero norm, or h_BA, which
+            makes the divisor beta 0.
     """
-    a_att = cfg.sigma2_A / norm2(ch.h_AB)
-    e_att = cfg.sigma2_EB / norm2(ch.g_B)
+    response_norm2(ch, "h_BA")
+    a_att = cfg.sigma2_A / response_norm2(ch, "h_AB")
+    e_att = cfg.sigma2_EB / response_norm2(ch, "g_B")
     if a_att <= e_att:
         return 0.0
     return (a_att - e_att) / beta(cfg, ch)

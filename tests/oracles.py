@@ -13,7 +13,7 @@ def beta_via_eig(cfg: SystemConfig, ch: ChannelRealization) -> float:
     Test oracle for steep.beta: an independent route to the same quantity.
     """
     scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
-    eig = hermitian_eig(_gram(ch.G_A))
-    lam = np.maximum(eig.eigenvalues, 0.0)
-    z = eig.eigenvectors.conj().T @ ch.h_BA.conj()
+    lam, q = hermitian_eig(_gram(ch.G_A))
+    lam = np.maximum(lam, 0.0)
+    z = q.conj().T @ ch.h_BA.conj()
     return float(np.sum(np.abs(z) ** 2 / (scale * lam + 1.0)))

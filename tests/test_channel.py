@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -12,9 +13,10 @@ from steepsim.channel import (
     SystemConfig,
     norm2,
     reference_power,
+    response_norm2,
     sample_realization,
 )
-from steepsim.linops import sample_cn
+from steepsim.linops import DegenerateChannelError, sample_cn
 from steepsim.mc import run_ensemble, write_outputs
 
 
@@ -195,6 +197,15 @@ def test_reference_power_infeasible_budget():
     ch = sample_realization(cfg, np.random.default_rng(4))
     with pytest.raises(InfeasiblePowerError):
         reference_power(cfg, ch)
+
+
+@pytest.mark.parametrize("name", ["h_BA", "h_AB", "G_A", "g_B"])
+def test_response_norm2_returns_norm_or_names_zero_response(name):
+    ch = sample_realization(_cfg(), np.random.default_rng(5))
+    assert response_norm2(ch, name) == norm2(getattr(ch, name))
+    zeroed = dataclasses.replace(ch, **{name: np.zeros_like(getattr(ch, name))})
+    with pytest.raises(DegenerateChannelError, match=f"^degenerate draw: {name} has zero norm$"):
+        response_norm2(zeroed, name)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steepsim.baseline import conventional
 from steepsim.channel import (
     MAX_ANTENNAS,
     ChannelRealization,
@@ -14,6 +16,8 @@ from steepsim.channel import (
     reference_power,
     sample_realization,
 )
+from steepsim.linops import DegenerateChannelError
+from steepsim.sigsim import variance_report
 from steepsim.steep import (
     _gram,
     beta,
@@ -26,8 +30,6 @@ from steepsim.steep import (
     natural_outage_condition,
     outage_power_threshold,
     sdof,
-    sigma2_vA,
-    sigma2_vE,
 )
 from oracles import beta_via_eig
 
@@ -138,8 +140,9 @@ def test_effective_noise_variances_match_manual_forms():
     floor = cfg.n_A / cfg.P_A * cfg.sigma2_B
     want_a = floor + cfg.sigma2_A / (pbp * norm2(ch.h_AB))
     want_e = beta(cfg, ch) + floor + cfg.sigma2_EB / (pbp * norm2(ch.g_B))
-    assert sigma2_vA(cfg, ch, pbp) == pytest.approx(want_a, rel=1e-12)
-    assert sigma2_vE(cfg, ch, pbp) == pytest.approx(want_e, rel=1e-12)
+    sa = c_steep(cfg, ch)
+    assert sa.sigma2_vA == pytest.approx(want_a, rel=1e-12)
+    assert sa.sigma2_vE == pytest.approx(want_e, rel=1e-12)
 
 
 def test_secrecy_rate_matches_log_difference():
@@ -257,11 +260,17 @@ def test_key_rate_positive_and_hurt_by_eavesdropper_antennas():
 
 def test_alice_variance_hand_value():
     # n_A=4, P_A=100, unit variances, P_B'=10, ||h_AB||^2=2 -> 0.04 + 0.05
-    cfg = _cfg(n_A=4, n_E=2, P_A_dB=20.0)
+    cfg = _cfg(
+        n_A=4,
+        n_E=2,
+        P_A_dB=20.0,
+        P_B_dB=10.0,
+        power_convention=PowerConvention.REFERENCE_PB_PRIME,
+    )
     ch = sample_realization(cfg, np.random.default_rng(60))
     h_ab = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
     fixed = ChannelRealization(h_BA=ch.h_BA, h_AB=h_ab, G_A=ch.G_A, g_B=ch.g_B)
-    assert sigma2_vA(cfg, fixed, 10.0) == pytest.approx(0.09, rel=1e-12)
+    assert c_steep(cfg, fixed).sigma2_vA == pytest.approx(0.09, rel=1e-12)
 
 
 def test_beta_limits():
@@ -354,3 +363,41 @@ def test_no_outage_for_any_echo_power_when_eve_attenuation_dominates():
             assert not natural_outage_condition(cfg, ch, pbp)
         checked += 1
     assert checked > 10
+
+
+# the zero-norm rule: each function that divides by a response's norm, or by
+# the beta that a zero h_BA makes 0, names that response
+
+ZERO_NORM_CALLS = {
+    "c_steep": lambda cfg, ch, sa: c_steep(cfg, ch),
+    "conventional": lambda cfg, ch, sa: conventional(cfg, ch, steep=sa),
+    "natural_outage_condition": lambda cfg, ch, sa: natural_outage_condition(cfg, ch, 1.0),
+    "outage_power_threshold": lambda cfg, ch, sa: outage_power_threshold(cfg, ch),
+    "c_steep_large_pb": lambda cfg, ch, sa: c_steep_large_pb(cfg, ch),
+    "variance_report": lambda cfg, ch, sa: variance_report(cfg, ch, 1000, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize(
+    "fn, response",
+    [
+        ("c_steep", "h_AB"),
+        ("c_steep", "g_B"),
+        ("conventional", "h_BA"),
+        ("conventional", "h_AB"),
+        ("natural_outage_condition", "h_AB"),
+        ("natural_outage_condition", "g_B"),
+        ("outage_power_threshold", "h_BA"),
+        ("outage_power_threshold", "h_AB"),
+        ("outage_power_threshold", "g_B"),
+        ("c_steep_large_pb", "h_BA"),
+        ("variance_report", "h_AB"),
+        ("variance_report", "g_B"),
+    ],
+)
+def test_zero_norm_response_raises_naming_it(fn, response):
+    cfg = _cfg(n_A=3, n_E=2)
+    ch = sample_realization(cfg, np.random.default_rng(70))
+    zeroed = dataclasses.replace(ch, **{response: np.zeros_like(getattr(ch, response))})
+    with pytest.raises(DegenerateChannelError, match=f"\\b{response} has zero norm"):
+        ZERO_NORM_CALLS[fn](cfg, zeroed, c_steep(cfg, ch))
