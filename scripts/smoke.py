@@ -13,11 +13,19 @@ checks, in order:
 - a 1031-trial ensemble at n_A=16, n_E=8 exits 0 on 2 workers and on 1,
   and the two runs' samples.csv, outage.csv and histogram.csv are
   byte-identical. n_E < n_A takes beta's n_E-sized route, and 2 workers
-  take the process pool with its pinned workers.
+  take the process pool with its pinned workers;
+- the verify and the 2-worker ensemble, rerun with MALLOC_PERTURB_=165 in
+  their environment, exit 0 with the same verify stdout and the same CSV
+  bytes. glibc then fills memory that malloc hands out, and memory freed,
+  with a fixed non-zero byte, so an array read before it is written gives
+  other numbers. The CLI keeps freed block memory in the heap, where such a
+  read would otherwise see an earlier block's values rather than the zeros
+  of a fresh page.
 The script stops at the first check that fails, names it and exits 1; it
 exits 0 when every check holds.
 """
 import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +33,7 @@ from pathlib import Path
 N4E6 = "n_A = 4\nn_E = 6\nP_A_dB = 20\nP_B_dB = 30\npower_convention = ConsumedPB\n"
 N16E8 = "n_A = 16\nn_E = 8\nP_A_dB = 20\nP_B_dB = 30\n"
 CSVS = ("samples.csv", "outage.csv", "histogram.csv")
+PERTURB = {"MALLOC_PERTURB_": "165"}
 
 
 class SmokeFailure(Exception):
@@ -32,32 +41,48 @@ class SmokeFailure(Exception):
 
 
 def _checks(command: list[str], work: Path) -> None:
-    def run(*args: str, status: int = 0) -> str:
+    def run(*args: str, status: int = 0, env: dict | None = None) -> tuple[str, str]:
+        """Run one call, echo it and its output; return (stdout, stderr)."""
         argv = [*command, *args]
-        print("+", " ".join(argv), flush=True)
-        proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True)
+        prefix = "".join(f"{k}={v} " for k, v in (env or {}).items())
+        print(f"+ {prefix}{' '.join(argv)}", flush=True)
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              env={**os.environ, **env} if env else None)
+        print(proc.stdout, end="", flush=True)
         print(proc.stderr, end="", flush=True)
         if proc.returncode != status:
-            raise SmokeFailure(f"{' '.join(args)} exited {proc.returncode}, not {status}")
-        return proc.stderr
+            raise SmokeFailure(f"{prefix}{' '.join(args)} exited {proc.returncode}, not {status}")
+        return proc.stdout, proc.stderr
 
     run("sdof", "--n_A", "4", "--n_E", "2", "--m_A", "100")
-    err = run("sdof", "--n_A", "0", "--n_B", "0", "--n_E", "2", "--m_A", "0", "--m_B", "0", status=1)
+    _, err = run("sdof", "--n_A", "0", "--n_B", "0", "--n_E", "2", "--m_A", "0", "--m_B", "0",
+                 status=1)
     if err.count("\n") != 1:
         raise SmokeFailure(f"sdof with zero antennas wrote {err.count(chr(10))} stderr lines, not 1")
     n4e6 = work / "n4e6.cfg"
     n4e6.write_text(N4E6, encoding="ascii")
-    run("verify", "--config", str(n4e6), "--m", "20000", "--seed", "1")
+    verify = ("verify", "--config", str(n4e6), "--m", "20000", "--seed", "1")
+    verify_out, _ = run(*verify)
     run("single", "--config", str(n4e6), "--json")
     n16e8 = work / "n16e8.cfg"
     n16e8.write_text(N16E8, encoding="ascii")
-    outs = {2: work / "n16e8", 1: work / "n16e8-w1"}
-    for workers, out in outs.items():
+
+    def ensemble(workers: int, out: Path, env: dict | None = None) -> Path:
         run("ensemble", "--config", str(n16e8), "--trials", "1031", "--workers", str(workers),
-            "--seed", "1", "--out", str(out))
-    for name in CSVS:
-        if (outs[1] / name).read_bytes() != (outs[2] / name).read_bytes():
-            raise SmokeFailure(f"{name} differs between the 1- and 2-worker ensembles")
+            "--seed", "1", "--out", str(out), env=env)
+        return out
+
+    def compare(a: Path, b: Path, what: str) -> None:
+        for name in CSVS:
+            if (a / name).read_bytes() != (b / name).read_bytes():
+                raise SmokeFailure(f"{name} differs between {what}")
+
+    w2 = ensemble(2, work / "n16e8")
+    compare(ensemble(1, work / "n16e8-w1"), w2, "the 1- and 2-worker ensembles")
+    if run(*verify, env=PERTURB)[0] != verify_out:
+        raise SmokeFailure("verify stdout differs under MALLOC_PERTURB_")
+    compare(ensemble(2, work / "n16e8-perturbed", PERTURB), w2,
+            "the 2-worker ensembles with and without MALLOC_PERTURB_")
 
 
 def main(argv=None) -> int:

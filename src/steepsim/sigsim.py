@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemConfig, norm2
+from .channel import ChannelRealization, SystemConfig, norm2, response_norm2
 from . import steep as _steep
 from .linops import cn_from_normals, cn_parts
 # not called here: the benchmark's tracer wraps them under steepsim.sigsim
@@ -93,7 +93,7 @@ def alice_receiver(
     the unit-variance X_A; hx_A is h_BA^T X_A.
     """
     y_prime = Y_A - math.sqrt(P_B_prime) * np.outer(ch.h_AB, hx_A)
-    return (ch.h_AB.conj() @ y_prime) / (math.sqrt(P_B_prime) * norm2(ch.h_AB))
+    return (ch.h_AB.conj() @ y_prime) / (math.sqrt(P_B_prime) * response_norm2(ch, "h_AB"))
 
 
 def mmse_gain(cfg: SystemConfig, ch: ChannelRealization) -> np.ndarray:
@@ -116,7 +116,7 @@ def eve_receiver(
     hx_hat is h_BA^T X_hat for Eve's MMSE estimate X_hat = mmse_gain @ Y_EA.
     """
     resid = Y_EB - math.sqrt(P_B_prime) * np.outer(ch.g_B, hx_hat)
-    return (ch.g_B.conj() @ resid) / (math.sqrt(P_B_prime) * norm2(ch.g_B))
+    return (ch.g_B.conj() @ resid) / (math.sqrt(P_B_prime) * response_norm2(ch, "g_B"))
 
 
 def variance_report(

@@ -6,6 +6,7 @@ import math
 import re
 import string
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from steepsim.baseline import conventional
 from steepsim.channel import MAX_ANTENNAS, PowerConvention, SystemConfig, sample_realization
+import steepsim.cli as cli
 from steepsim.cli import load_config_file, main, parse_settings
 from steepsim.steep import c_steep
 
@@ -629,3 +631,67 @@ def test_verify_fuzz_exits_cleanly(inputs, seed, m):
     if rc == 1:
         assert out == ""
     assert "nan" not in out and "inf" not in out
+
+
+# the allocator thresholds main sets before anything else
+
+
+class _FakeMallopt:
+    """Stands in for libc's mallopt: records its calls, returns ret."""
+
+    def __init__(self, ret):
+        self.ret = ret
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.ret
+
+
+def _fake_libc(monkeypatch, platform="linux", ret=1, symbol=True):
+    """Point cli's ctypes.CDLL(None) at a fake libc; return its mallopt."""
+    mallopt = _FakeMallopt(ret)
+    libc = types.SimpleNamespace(mallopt=mallopt) if symbol else types.SimpleNamespace()
+    opened = []
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    return mallopt, opened
+
+
+@pytest.mark.parametrize("ret", [1, 0], ids=["accepted", "rejected"])
+def test_malloc_thresholds_set_on_linux(monkeypatch, ret):
+    # a 0 return (glibc rejected the value) is ignored, not raised
+    mallopt, opened = _fake_libc(monkeypatch, ret=ret)
+    cli._keep_block_memory()
+    assert opened == [None]
+    assert mallopt.calls == [
+        (cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES),
+        (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD_BYTES),
+    ]
+    assert (cli.M_MMAP_THRESHOLD, cli.M_TRIM_THRESHOLD) == (-3, -1)
+    assert (cli.MMAP_THRESHOLD_BYTES, cli.TRIM_THRESHOLD_BYTES) == (4 << 20, 16 << 20)
+    assert mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+    assert mallopt.restype is cli.ctypes.c_int
+
+
+def test_malloc_thresholds_untouched_off_linux(monkeypatch):
+    mallopt, opened = _fake_libc(monkeypatch, platform="darwin")
+    cli._keep_block_memory()
+    assert opened == [] and mallopt.calls == []
+
+
+def test_malloc_thresholds_untouched_without_mallopt(monkeypatch):
+    # a Linux libc other than glibc may have no mallopt symbol
+    _, opened = _fake_libc(monkeypatch, symbol=False)
+    cli._keep_block_memory()
+    assert opened == [None]
+
+
+def test_main_sets_malloc_thresholds_once_before_the_subcommand(monkeypatch):
+    events = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_keep_block_memory", lambda: events.append("thresholds"))
+    monkeypatch.setattr(cli, "build_parser", lambda: events.append("parse") or build_parser())
+    monkeypatch.setattr(cli, "cmd_sdof", lambda args: events.append("sdof") or 0)
+    assert main(["sdof", "--n_A", "4", "--n_E", "2", "--m_A", "100"]) == 0
+    assert events == ["thresholds", "parse", "sdof"]

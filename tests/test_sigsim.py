@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from steepsim.channel import PowerConvention, SystemConfig, reference_power, sample_realization
 from steepsim.cli import main
-from steepsim.linops import sample_cn, sample_cn_matrix
+from steepsim.linops import DegenerateChannelError, sample_cn, sample_cn_matrix
 from steepsim.sigsim import (
     SYMBOL_BLOCK,
     alice_receiver,
@@ -121,6 +122,19 @@ def test_mmse_gain_shape():
     ch = sample_realization(CFG, np.random.default_rng(8))
     w = mmse_gain(CFG, ch)
     assert w.shape == (4, 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("receiver, response", [(alice_receiver, "h_AB"), (eve_receiver, "g_B")])
+def test_receiver_with_zero_response_raises_naming_it(receiver, response):
+    # the receiver divides by the response's squared norm: a zero response
+    # raises the scalar API's error, not a NaN with a RuntimeWarning
+    ch = sample_realization(CFG, np.random.default_rng(11))
+    zeroed = dataclasses.replace(ch, **{response: np.zeros_like(getattr(ch, response))})
+    rows = CFG.n_A if response == "h_AB" else CFG.n_E
+    observed = sample_cn_matrix(rows, 8, np.random.default_rng(12))
+    with pytest.raises(DegenerateChannelError, match=f"\\b{response} has zero norm"):
+        receiver(zeroed, observed, sample_cn(8, np.random.default_rng(13)), 10.0)
 
 
 def test_eve_receiver_fills_trace():

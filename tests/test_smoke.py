@@ -21,6 +21,8 @@ def test_smoke_passes_through_python_m(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stderr == ""
-    # sdof twice, verify, single and the ensemble on 2 workers and on 1
-    assert sum(line.startswith("+ ") for line in proc.stdout.splitlines()) == 6
+    # sdof twice, verify, single, the ensemble on 2 workers and on 1, then
+    # verify and the 2-worker ensemble again under MALLOC_PERTURB_
+    assert sum(line.startswith("+ ") for line in proc.stdout.splitlines()) == 8
+    assert sum(line.startswith("+ MALLOC_PERTURB_=165 ") for line in proc.stdout.splitlines()) == 2
     assert proc.stdout.endswith("smoke: all checks passed\n")
