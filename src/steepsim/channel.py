@@ -23,12 +23,12 @@ from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix
 
 # bound on |P_A_dB| and |P_B_dB|, and on Eve's probe SNR P_A/sigma2_EA in
 # dB. The power bound keeps 10^(dB/10) finite and nonzero by a wide margin.
-# The probe-SNR bound keeps the Gram-based forms accurate: for n_A > n_E,
-# mmse_residual_cov (verify's analytic side) and the test oracle
-# beta_via_eig (tests/oracles.py) form scale*G_A^H G_A, which has rank n_E,
-# and its rounding costs them accuracy in proportion to P_A/sigma2_EA (beta
-# taken through that Gram was off by up to 2e-6 relative at 100 dB).
-# steep.beta does not form that Gram when n_A > n_E.
+# The probe-SNR bound keeps the test oracle beta_via_eig (tests/oracles.py)
+# accurate: for n_A > n_E it forms scale*G_A^H G_A, which has rank n_E, and
+# that Gram's rounding costs it accuracy in proportion to P_A/sigma2_EA (beta
+# taken through it was off by up to 2e-6 relative at 100 dB). The package
+# never forms that Gram: steep.beta factors the n_E-square one when
+# n_A > n_E, and mmse_residual_cov takes an SVD of G_A.
 POWER_DB_LIMIT = 100.0
 # bound on the noise variances: sigma2_* must lie in [1/VARIANCE_LIMIT,
 # VARIANCE_LIMIT]. With powers inside POWER_DB_LIMIT, every SNR and effective
@@ -218,17 +218,17 @@ def echo_budget(cfg: SystemConfig) -> float:
     return cfg.P_B - echo_floor
 
 
-def reference_power(cfg: SystemConfig, ch: ChannelRealization) -> float:
-    """Reference echo power P_B' for one realization.
+def reference_power(cfg: SystemConfig, nh_BA):
+    """Reference echo power P_B' for nh_BA = ||h_BA||^2, a float or an array.
 
     Under REFERENCE_PB_PRIME the configured linear P_B is returned unchanged.
     Under CONSUMED_PB the configured P_B is Bob's total per-sample budget
     P_B = P_B' + P_B'*||h_BA||^2 + (n_A/P_A)*sigma2_B, and the unique P_B'
-    solving it is returned.
+    solving it is returned, elementwise for an array.
 
     Raises:
         InfeasiblePowerError: under CONSUMED_PB, see echo_budget.
     """
     if cfg.power_convention is PowerConvention.REFERENCE_PB_PRIME:
         return cfg.P_B
-    return echo_budget(cfg) / (1.0 + norm2(ch.h_BA))
+    return echo_budget(cfg) / (1.0 + nh_BA)

@@ -44,7 +44,7 @@ from numpy.random import Generator, PCG64
 from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
-from .channel import PowerConvention, SystemConfig, echo_budget
+from .channel import SystemConfig, reference_power
 from .linops import DegenerateChannelError, cn_from_normals, cn_parts
 from .steep import LN2, log2_ratio
 # not called here: the benchmark's tracer wraps them under steepsim.mc
@@ -250,7 +250,8 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     """Closed forms of c_steep and conventional for a block of trials.
 
     Row i of z holds trial start + i's normals in sample_realization's order.
-    Returns (c_steep clamped, c_conv, gain, natural_outage, c1, c2).
+    Returns (c_steep clamped, natural_outage, c1, c2), the columns that need
+    a trial's draw; run_ensemble forms c_conv and gain from them.
 
     Raises:
         DegenerateChannelError: if a response of some trial has zero norm.
@@ -270,10 +271,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
         )
 
     # steep.c_steep
-    if cfg.power_convention is PowerConvention.REFERENCE_PB_PRIME:
-        p_b_prime = cfg.P_B
-    else:
-        p_b_prime = echo_budget(cfg) / (1.0 + nh_BA)
+    p_b_prime = reference_power(cfg, nh_BA)
     b = _beta(cfg, h_BA, G_A, nh_BA)
     floor = (cfg.n_A / cfg.P_A) * cfg.sigma2_B
     var_a = floor + cfg.sigma2_A / (p_b_prime * nh_AB)
@@ -289,8 +287,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     snr_EB = cfg.P_B * ng_B / cfg.sigma2_EB
     c1 = _log2_ratio((snr_B - snr_EA) / (1.0 + snr_EA), snr_B, snr_EA)
     c2 = _log2_ratio((snr_A - snr_EB) / (1.0 + snr_EB), snr_A, snr_EB)
-    cc = _clamp(c1) + _clamp(c2)
-    return cs, cc, cs - cc, diff <= 0.0, c1, c2
+    return cs, diff <= 0.0, c1, c2
 
 
 def _run_chunk(args) -> tuple:
@@ -384,8 +381,7 @@ def run_ensemble(
     finite = grid.ndim == 1 and grid.size >= 1 and np.isfinite(grid).all()
     if not finite or np.any(np.diff(grid) < 0):
         raise ValueError("rs_grid must be a nonempty ascending 1-d grid of finite values")
-    if cfg.power_convention is PowerConvention.CONSUMED_PB:
-        echo_budget(cfg)
+    reference_power(cfg, 0.0)  # an infeasible ConsumedPB budget raises here
 
     t0 = time.perf_counter()
     bounds = [trials * i // workers for i in range(workers + 1)]
@@ -403,7 +399,10 @@ def run_ensemble(
                 parts = list(pool.map(_pinned_chunk, _cpu_shares(len(jobs)), jobs))
         except BrokenProcessPool as exc:
             raise ChildProcessError(f"seed {seed}: a worker process died") from exc
-    cs, cc, gn, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))
+    cs, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))
+    # baseline.conventional's c_conv and gain, formed here, not sent by workers
+    cc = _clamp(c1) + _clamp(c2)
+    gn = cs - cc
 
     return EnsembleResult(
         cfg=cfg,

@@ -155,7 +155,7 @@ def variance_report(
     rng.standard_normal(out=buf)
     parts = cn_parts(buf, [(n_A, m), (m,), (n_E, m)])
     y_B, hx_A, hx_hat = (np.empty(m, dtype=complex) for _ in range(3))
-    delta_gram = np.zeros((n_A, n_A), dtype=complex)
+    cov_sum = np.zeros((n_A, n_A), dtype=complex)
     for a, b in blocks:
         X_A, w_B, W_EA = (cn_from_normals(re[..., a:b], im[..., a:b]) for re, im in parts)
         y_B[a:b], Y_EA = run_phase1(cfg, ch, X_A, w_B, W_EA)
@@ -163,7 +163,7 @@ def variance_report(
         hx_A[a:b] = ch.h_BA @ X_A
         hx_hat[a:b] = ch.h_BA @ X_hat
         delta = X_A - X_hat
-        delta_gram += delta @ delta.conj().T
+        cov_sum += delta @ delta.conj().T
 
     rng.standard_normal(out=buf)
     parts = cn_parts(buf, [(m,), (n_A, m), (n_E, m)])
@@ -177,7 +177,7 @@ def variance_report(
         sum_e += float(np.sum(np.abs(r_E - s) ** 2))
 
     var_a, var_e = sa.sigma2_vA, sa.sigma2_vE
-    cov_emp = delta_gram / m
+    cov_emp = cov_sum / m
     cov = _steep.mmse_residual_cov(cfg, ch.G_A)
     d = np.real(np.diag(cov))
     cov_se = np.sqrt(np.outer(d, d) / m)

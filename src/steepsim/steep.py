@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ChannelRealization, SystemConfig, norm2, reference_power, response_norm2
-from .linops import sample_cn, sample_cn_matrix, solve_psd
-# not called here: the benchmark's tracer wraps it under steepsim.steep
-from .linops import hermitian_eig  # noqa: F401
+from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix
+# not called here: the benchmark's tracer wraps them under steepsim.steep
+from .linops import hermitian_eig, solve_psd  # noqa: F401
 
 LN2 = math.log(2.0)
 # trials per batch of c_key_siso: its h and g then take 16*(1 + n_E) MB
@@ -60,22 +60,19 @@ class SteepAnalysis:
     p_b_prime: float
 
 
-def _gram(G_A: np.ndarray) -> np.ndarray:
-    g = G_A.conj().T @ G_A
-    # symmetrize away matmul rounding so the Hermitian contract holds exactly
-    return 0.5 * (g + g.conj().T)
-
-
 def mmse_residual_cov(cfg: SystemConfig, G_A: np.ndarray) -> np.ndarray:
     """Residual covariance R of Eve's per-symbol MMSE probe estimate.
 
-    R = ((P_A/(n_A*sigma2_EA)) * G_A^H G_A + I)^{-1}. Always Hermitian
-    positive definite with eigenvalues in (0, 1].
+    R = (g^H g + I)^{-1}, g = sqrt(P_A/(n_A*sigma2_EA))*G_A, as V diag(d) V^H
+    from one SVD g = U diag(s) V^H: d = 1/(1 + s^2), and 1 in the n_A - n_E
+    null directions, which the rounding of a Gram g^H g would blur. Hermitian
+    to rounding, with eigenvalues in (0, 1].
     """
-    scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
-    m = scale * _gram(G_A) + np.eye(cfg.n_A)
-    r = np.linalg.inv(m)
-    return 0.5 * (r + r.conj().T)
+    g = math.sqrt(cfg.P_A / (cfg.n_A * cfg.sigma2_EA)) * G_A
+    _, s, vh = np.linalg.svd(g)
+    d = np.ones(cfg.n_A)
+    d[:s.shape[0]] = 1.0 / (1.0 + s * s)
+    return (vh.conj().T * d) @ vh
 
 
 def beta(cfg: SystemConfig, ch: ChannelRealization) -> float:
@@ -145,7 +142,7 @@ def c_steep(cfg: SystemConfig, ch: ChannelRealization) -> SteepAnalysis:
     Raises:
         DegenerateChannelError: if h_AB or g_B has zero norm.
     """
-    p_b_prime = reference_power(cfg, ch)
+    p_b_prime = reference_power(cfg, norm2(ch.h_BA))
     b = beta(cfg, ch)
     floor = (cfg.n_A / cfg.P_A) * cfg.sigma2_B
     var_a = floor + cfg.sigma2_A / (p_b_prime * response_norm2(ch, "h_AB"))
@@ -182,17 +179,19 @@ def c_steep_asymptotic_nA_le_nE(cfg: SystemConfig, ch: ChannelRealization) -> fl
     """Large-probe-power capacity limit when Eve has at least n_A antennas.
 
     Equals log2(1 + (sigma2_EA/sigma2_B) * h_BA^T (G_A^H G_A)^{-1} h_BA^*),
-    which no longer depends on P_A.
+    which no longer depends on P_A; the quadratic form is ||x||^2 for the
+    minimum-norm least-squares solution x of G_A^H x = h_BA^* (one SVD).
 
     Raises:
         ValueError: if n_A > n_E (the Gram matrix would be singular by rank).
-        DegenerateChannelError: if the Gram matrix is numerically singular.
+        DegenerateChannelError: if G_A's numerical rank is below n_A.
     """
     if cfg.n_A > cfg.n_E:
         raise ValueError(f"requires n_A <= n_E, got n_A={cfg.n_A}, n_E={cfg.n_E}")
-    u = ch.h_BA.conj()
-    quad = float(np.vdot(u, solve_psd(_gram(ch.G_A), u)).real)
-    return math.log1p((cfg.sigma2_EA / cfg.sigma2_B) * quad) / LN2
+    x, _, rank, _ = np.linalg.lstsq(ch.G_A.conj().T, ch.h_BA.conj(), rcond=None)
+    if rank < cfg.n_A:
+        raise DegenerateChannelError(f"degenerate draw: G_A has rank {rank} < n_A = {cfg.n_A}")
+    return math.log1p((cfg.sigma2_EA / cfg.sigma2_B) * norm2(x)) / LN2
 
 
 def natural_outage_condition(cfg: SystemConfig, ch: ChannelRealization, P_B_prime: float) -> bool:

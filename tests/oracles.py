@@ -3,7 +3,6 @@ import numpy as np
 
 from steepsim.channel import ChannelRealization, SystemConfig
 from steepsim.linops import hermitian_eig
-from steepsim.steep import _gram
 
 
 def beta_via_eig(cfg: SystemConfig, ch: ChannelRealization) -> float:
@@ -13,7 +12,9 @@ def beta_via_eig(cfg: SystemConfig, ch: ChannelRealization) -> float:
     Test oracle for steep.beta: an independent route to the same quantity.
     """
     scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
-    lam, q = hermitian_eig(_gram(ch.G_A))
+    gram = ch.G_A.conj().T @ ch.G_A
+    # symmetrized, so that hermitian_eig's Hermitian check holds exactly
+    lam, q = hermitian_eig(0.5 * (gram + gram.conj().T))
     lam = np.maximum(lam, 0.0)
     z = q.conj().T @ ch.h_BA.conj()
     return float(np.sum(np.abs(z) ** 2 / (scale * lam + 1.0)))

@@ -180,7 +180,7 @@ def test_return_link_entry_variance():
 def test_reference_power_passthrough():
     cfg = _cfg(power_convention=PowerConvention.REFERENCE_PB_PRIME)
     ch = sample_realization(cfg, np.random.default_rng(1))
-    assert reference_power(cfg, ch) == pytest.approx(cfg.P_B)
+    assert reference_power(cfg, norm2(ch.h_BA)) == pytest.approx(cfg.P_B)
 
 
 def test_reference_power_consumed_formula():
@@ -188,7 +188,7 @@ def test_reference_power_consumed_formula():
     ch = sample_realization(cfg, np.random.default_rng(2))
     floor = cfg.n_A / cfg.P_A * cfg.sigma2_B
     expected = (cfg.P_B - floor) / (1.0 + norm2(ch.h_BA))
-    assert reference_power(cfg, ch) == pytest.approx(expected, rel=1e-12)
+    assert reference_power(cfg, norm2(ch.h_BA)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_reference_power_infeasible_budget():
@@ -196,7 +196,7 @@ def test_reference_power_infeasible_budget():
     cfg = _cfg(P_A_dB=-30.0, P_B_dB=0.0, power_convention=PowerConvention.CONSUMED_PB)
     ch = sample_realization(cfg, np.random.default_rng(4))
     with pytest.raises(InfeasiblePowerError):
-        reference_power(cfg, ch)
+        reference_power(cfg, norm2(ch.h_BA))
 
 
 @pytest.mark.parametrize("name", ["h_BA", "h_AB", "G_A", "g_B"])

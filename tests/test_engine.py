@@ -67,7 +67,7 @@ def reference_trial(cfg: SystemConfig, seed: int, t: int) -> tuple:
     ch = sample_realization(cfg, np.random.default_rng([seed, t]))
     sa = c_steep(cfg, ch)
     ba = conventional(cfg, ch, steep=sa)
-    return sa.c_steep_clamped, ba.c_conv, ba.gain, sa.natural_outage, ba.c1, ba.c2
+    return sa.c_steep_clamped, sa.natural_outage, ba.c1, ba.c2
 
 
 # child streams
@@ -319,14 +319,17 @@ def test_engine_matches_scalar_api(n_A, n_E, convention, gamma, P_A_dB, P_B_dB, 
     got = _run_chunk((cfg, seed, start, start + count))
     for i in range(count):
         want = reference_trial(cfg, seed, start + i)
-        cs, cc, gn, flag, c1, c2 = (col[i] for col in got)
-        assert bool(flag) == want[3]
-        for name, a, b in zip(
-            ("c_steep", "c_conv", "gain", "c1", "c2"),
-            (cs, cc, gn, c1, c2),
-            (want[0], want[1], want[2], want[4], want[5]),
-        ):
+        cs, flag, c1, c2 = (col[i] for col in got)
+        assert bool(flag) == want[1]
+        for name, a, b in zip(("c_steep", "c1", "c2"), (cs, c1, c2), (want[0], want[2], want[3])):
             assert _rel_close(a, b), f"trial {start + i}: {name} {a!r} != {b!r}"
+    # run_ensemble forms c_conv and gain from the merged columns
+    res = run_ensemble(cfg, trials=count, seed=seed)
+    for t in range(count):
+        ch = sample_realization(cfg, np.random.default_rng([seed, t]))
+        ba = conventional(cfg, ch, steep=c_steep(cfg, ch))
+        for name, a, b in (("c_conv", res.c_conv[t], ba.c_conv), ("gain", res.gain[t], ba.gain)):
+            assert _rel_close(a, b), f"trial {t}: {name} {a!r} != {b!r}"
 
 
 def _realization(cfg, row):
@@ -357,7 +360,7 @@ def test_engine_matches_scalar_api_where_log1p_is_undefined():
         var_a, var_e = sa.sigma2_vA, sa.sigma2_vE
         assert (var_e - var_a) / (var_a * (1.0 + var_e)) == -1.0
         assert (ba.snr_A - ba.snr_EB) / (1.0 + ba.snr_EB) == -1.0
-        want = (sa.c_steep_clamped, ba.c_conv, ba.gain, sa.natural_outage, ba.c1, ba.c2)
+        want = (sa.c_steep_clamped, sa.natural_outage, ba.c1, ba.c2)
         assert [float(col[i]) for col in got] == [float(x) for x in want]
         assert sa.natural_outage and -math.inf < sa.c_steep < 0.0 and -math.inf < ba.c2 < 0.0
 

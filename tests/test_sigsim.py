@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steepsim.channel import PowerConvention, SystemConfig, reference_power, sample_realization
+from steepsim.channel import PowerConvention, SystemConfig, norm2, reference_power, sample_realization
 from steepsim.cli import main
 from steepsim.linops import DegenerateChannelError, sample_cn, sample_cn_matrix
 from steepsim.sigsim import (
@@ -38,7 +38,7 @@ def _run_block(cfg, ch, m, rng, noiseless=False) -> dict:
     W_EB = sample_cn_matrix(cfg.n_E, m, rng)
     if noiseless:
         w_B, W_EA, W_A, W_EB = (np.zeros_like(w) for w in (w_B, W_EA, W_A, W_EB))
-    pbp = reference_power(cfg, ch)
+    pbp = reference_power(cfg, norm2(ch.h_BA))
     y_B, Y_EA = run_phase1(cfg, ch, X_A, w_B, W_EA)
     X_hat = mmse_gain(cfg, ch) @ Y_EA
     hx_A = ch.h_BA @ X_A

@@ -19,7 +19,6 @@ from steepsim.channel import (
 from steepsim.linops import DegenerateChannelError
 from steepsim.sigsim import variance_report
 from steepsim.steep import (
-    _gram,
     beta,
     c_key_siso,
     c_steep,
@@ -61,7 +60,9 @@ def _beta_lu(cfg, ch):
     bordered Cholesky factorization replaced; the accuracy yardstick."""
     scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
     u = ch.h_BA.conj()
-    return float(np.vdot(u, np.linalg.solve(scale * _gram(ch.G_A) + np.eye(cfg.n_A), u)).real)
+    gram = ch.G_A.conj().T @ ch.G_A
+    m = scale * (0.5 * (gram + gram.conj().T)) + np.eye(cfg.n_A)
+    return float(np.vdot(u, np.linalg.solve(m, u)).real)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +137,7 @@ def test_residual_cov_identity_for_blind_eavesdropper():
 def test_effective_noise_variances_match_manual_forms():
     cfg = _cfg(n_A=3, n_E=4)
     ch = sample_realization(cfg, np.random.default_rng(21))
-    pbp = reference_power(cfg, ch)
+    pbp = reference_power(cfg, norm2(ch.h_BA))
     floor = cfg.n_A / cfg.P_A * cfg.sigma2_B
     want_a = floor + cfg.sigma2_A / (pbp * norm2(ch.h_AB))
     want_e = beta(cfg, ch) + floor + cfg.sigma2_EB / (pbp * norm2(ch.g_B))
@@ -220,6 +221,44 @@ def test_probe_power_invariant_asymptote_requires_shape():
     ch = sample_realization(cfg, np.random.default_rng(51))
     with pytest.raises(ValueError):
         c_steep_asymptotic_nA_le_nE(cfg, ch)
+
+
+@pytest.mark.parametrize("n_A, n_E", [(2, 4), (3, 3), (4, 6)])
+def test_asymptote_rejects_rank_deficient_probe_channel(n_A, n_E):
+    # G_A with two equal columns has rank n_A - 1: the Gram G_A^H G_A is
+    # singular, and every draw must raise the documented error, never a
+    # LinAlgError, a math domain error or a finite rate
+    cfg = _cfg(n_A=n_A, n_E=n_E)
+    rng = np.random.default_rng([n_A, n_E, 80])
+    for _ in range(300):
+        ch = sample_realization(cfg, rng)
+        G_A = ch.G_A.copy()
+        G_A[:, 1] = G_A[:, 0]
+        with pytest.raises(DegenerateChannelError, match="G_A has rank"):
+            c_steep_asymptotic_nA_le_nE(cfg, dataclasses.replace(ch, G_A=G_A))
+
+
+@pytest.mark.parametrize("n_A, n_E", [(4, 1), (8, 3), (4, 6), (16, 8)])
+def test_residual_cov_accuracy_against_40_digits(n_A, n_E):
+    # R = (s*G_A^H G_A + I)^{-1} of the float64 inputs at 40 digits, up to
+    # Eve's largest accepted probe SNR. When n_A > n_E, a route through the
+    # rank-n_E Gram G_A^H G_A loses accuracy in proportion to the probe SNR
+    # (4e-7 to 9e-7 relative on these draws at 100 dB); the SVD does not
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    worst = 0.0
+    for seed in range(4):
+        ch = sample_realization(_cfg(n_A=n_A, n_E=n_E), np.random.default_rng([n_A, n_E, seed]))
+        G = mp.matrix(ch.G_A.tolist())
+        gram = G.H * G
+        for P_A_dB in (20.0, 60.0, 100.0):
+            cfg = _cfg(n_A=n_A, n_E=n_E, P_A_dB=P_A_dB)
+            s = mp.mpf(cfg.P_A / (cfg.n_A * cfg.sigma2_EA))
+            exact = np.array(mp.inverse(gram * s + mp.eye(n_A)).tolist(), dtype=complex)
+            err = np.linalg.norm(mmse_residual_cov(cfg, ch.G_A) - exact) / np.linalg.norm(exact)
+            worst = max(worst, float(err))
+    assert worst <= 1e-12, worst
 
 
 def test_sdof_hand_values():
