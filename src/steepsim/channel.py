@@ -28,7 +28,7 @@ from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix
 # that Gram's rounding costs it accuracy in proportion to P_A/sigma2_EA (beta
 # taken through it was off by up to 2e-6 relative at 100 dB). The package
 # never forms that Gram: steep.beta factors the n_E-square one when
-# n_A > n_E, and mmse_residual_cov takes an SVD of G_A.
+# n_A > n_E, and steep.mmse_estimator takes one SVD of G_A, forming no Gram.
 POWER_DB_LIMIT = 100.0
 # bound on the noise variances: sigma2_* must lie in [1/VARIANCE_LIMIT,
 # VARIANCE_LIMIT]. With powers inside POWER_DB_LIMIT, every SNR and effective

@@ -93,11 +93,11 @@ def solve_psd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve m @ x = rhs for Hermitian positive definite m.
 
     Raises:
-        DegenerateChannelError: if m is singular or indefinite (Cholesky fails).
+        DegenerateChannelError: if m is singular or indefinite (Cholesky or solve fails).
     """
     m = np.asarray(m)
     try:
         np.linalg.cholesky(m)
+        return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateChannelError("matrix is not positive definite") from exc
-    return np.linalg.solve(m, rhs)
+        raise DegenerateChannelError("matrix is singular or not positive definite") from exc

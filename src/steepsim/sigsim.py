@@ -11,6 +11,7 @@ column per symbol: run_phase1, run_phase2, alice_receiver and eve_receiver.
 variance_report is the one place that draws: one buffer per phase, split by
 linops.cn_parts. It runs the steps over column blocks of SYMBOL_BLOCK symbols,
 one pass per phase, and keeps only three length-m vectors between passes.
+Eve's MMSE filter and its residual covariance are one steep.mmse_estimator call.
 """
 from __future__ import annotations
 
@@ -96,24 +97,12 @@ def alice_receiver(
     return (ch.h_AB.conj() @ y_prime) / (math.sqrt(P_B_prime) * response_norm2(ch, "h_AB"))
 
 
-def mmse_gain(cfg: SystemConfig, ch: ChannelRealization) -> np.ndarray:
-    """MMSE filter mapping Eve's probe-phase observation to a probe estimate.
-
-    One n_A-by-n_E matrix applied to every column: the channel is static
-    within the block, so the per-symbol estimator is the same.
-    """
-    amp2 = cfg.P_A / cfg.n_A
-    c_yy = amp2 * (ch.G_A @ ch.G_A.conj().T) + cfg.sigma2_EA * np.eye(cfg.n_E)
-    c_yy = 0.5 * (c_yy + c_yy.conj().T)
-    return math.sqrt(amp2) * np.linalg.solve(c_yy, ch.G_A).conj().T
-
-
 def eve_receiver(
     ch: ChannelRealization, Y_EB: np.ndarray, hx_hat: np.ndarray, P_B_prime: float
 ) -> np.ndarray:
     """Eve's statistic r_E = s + v_E after cancelling her probe estimate.
 
-    hx_hat is h_BA^T X_hat for Eve's MMSE estimate X_hat = mmse_gain @ Y_EA.
+    hx_hat is h_BA^T X_hat for Eve's estimate X_hat = W @ Y_EA of steep.mmse_estimator.
     """
     resid = Y_EB - math.sqrt(P_B_prime) * np.outer(ch.g_B, hx_hat)
     return (ch.g_B.conj() @ resid) / (math.sqrt(P_B_prime) * response_norm2(ch, "g_B"))
@@ -134,7 +123,8 @@ def variance_report(
     over m symbols, so each has standard error (analytic value)/sqrt(m);
     covariance entries have standard error sqrt(R_ii*R_jj/m). p_b_prime and
     the analytic variances are the fields of one steep.c_steep(cfg, ch), the
-    analysis that `steepsim single` prints.
+    analysis that `steepsim single` prints, and Eve's filter and the analytic
+    residual covariance are one steep.mmse_estimator(cfg, ch.G_A).
 
     Each phase fills one buffer of 2*m*(n_A + n_E + 1) normals with a single
     draw, in the order and count of the phase's three sample_cn and
@@ -148,7 +138,7 @@ def variance_report(
     n_A, n_E = cfg.n_A, cfg.n_E
     sa = _steep.c_steep(cfg, ch)
     p_b_prime = sa.p_b_prime
-    gain = mmse_gain(cfg, ch)
+    gain, cov = _steep.mmse_estimator(cfg, ch.G_A)
     blocks = [(a, min(a + SYMBOL_BLOCK, m)) for a in range(0, m, SYMBOL_BLOCK)]
     buf = np.empty(2 * m * (n_A + n_E + 1))
 
@@ -178,7 +168,6 @@ def variance_report(
 
     var_a, var_e = sa.sigma2_vA, sa.sigma2_vE
     cov_emp = cov_sum / m
-    cov = _steep.mmse_residual_cov(cfg, ch.G_A)
     d = np.real(np.diag(cov))
     cov_se = np.sqrt(np.outer(d, d) / m)
 

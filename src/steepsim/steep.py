@@ -60,19 +60,22 @@ class SteepAnalysis:
     p_b_prime: float
 
 
-def mmse_residual_cov(cfg: SystemConfig, G_A: np.ndarray) -> np.ndarray:
-    """Residual covariance R of Eve's per-symbol MMSE probe estimate.
+def mmse_estimator(cfg: SystemConfig, G_A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's MMSE probe estimate X_hat = W @ Y_EA: (W, R), R = cov(X_A - X_hat).
 
-    R = (g^H g + I)^{-1}, g = sqrt(P_A/(n_A*sigma2_EA))*G_A, as V diag(d) V^H
-    from one SVD g = U diag(s) V^H: d = 1/(1 + s^2), and 1 in the n_A - n_E
-    null directions, which the rounding of a Gram g^H g would blur. Hermitian
-    to rounding, with eigenvalues in (0, 1].
+    From one SVD g = U diag(s) V^H of g = sqrt(P_A/(n_A*sigma2_EA))*G_A, with
+    d = 1/(1 + s^2), and 1 in the n_A - n_E null directions that the rounding
+    of a Gram would blur: W = V diag(s*d) U^H / sqrt(sigma2_EA) over the
+    min(n_A, n_E) singular pairs, and R = (g^H g + I)^{-1} = V diag(d) V^H,
+    Hermitian to rounding with eigenvalues in (0, 1].
     """
     g = math.sqrt(cfg.P_A / (cfg.n_A * cfg.sigma2_EA)) * G_A
-    _, s, vh = np.linalg.svd(g)
+    u, s, vh = np.linalg.svd(g)
+    k = s.shape[0]
     d = np.ones(cfg.n_A)
-    d[:s.shape[0]] = 1.0 / (1.0 + s * s)
-    return (vh.conj().T * d) @ vh
+    d[:k] = 1.0 / (1.0 + s * s)
+    w = (vh[:k].conj().T * (s * d[:k] / math.sqrt(cfg.sigma2_EA))) @ u[:, :k].conj().T
+    return w, (vh.conj().T * d) @ vh
 
 
 def beta(cfg: SystemConfig, ch: ChannelRealization) -> float:

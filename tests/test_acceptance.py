@@ -21,7 +21,7 @@ from steepsim.steep import (
     c_steep,
     c_steep_asymptotic_nA_le_nE,
     c_steep_large_pb,
-    mmse_residual_cov,
+    mmse_estimator,
     natural_outage_condition,
 )
 from oracles import beta_via_eig
@@ -123,7 +123,7 @@ def test_residual_cov_forms_agree():
         amp2 = cfg.P_A / cfg.n_A
         inner = amp2 * (ch.G_A @ ch.G_A.conj().T) + cfg.sigma2_EA * np.eye(n_e)
         complement = np.eye(n_a) - amp2 * ch.G_A.conj().T @ np.linalg.solve(inner, ch.G_A)
-        lib = mmse_residual_cov(cfg, ch.G_A)
+        _, lib = mmse_estimator(cfg, ch.G_A)
         scale_ref = np.linalg.norm(direct)
         worst_cov = max(
             worst_cov,

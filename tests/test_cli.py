@@ -272,6 +272,19 @@ def test_verify_passes_on_healthy_config(cfg_file, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("n_A, n_E", [(1, 6), (4, 6), (16, 8), (4, 1)])
+def test_verify_passes_at_probe_snr_bound(cfg_file, capsys, n_A, n_E):
+    # P_A_dB = 100 with sigma2_EA = 1 puts Eve's probe SNR on its bound,
+    # where a Gram route to her MMSE filter or residual covariance loses
+    # digits in proportion to the SNR
+    for seed in (1, 2, 3):
+        rc = main(["verify", "--config", cfg_file, "--set", f"n_A={n_A}", "--set", f"n_E={n_E}",
+                   "--set", "P_A_dB=100", "--m", "20000", "--seed", str(seed)])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert out.count("PASS") == 3 and "FAIL" not in out, out
+
+
 def test_verify_reports_unresolved_variance(cfg_file, capsys):
     # sigma2_vA is about 3.5e-35 here; the oracle's empirical value, 4e-32,
     # is float64 rounding, and its deviation used to read 163736 se (exit 2)

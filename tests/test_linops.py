@@ -116,3 +116,20 @@ def test_solve_psd_rejects_singular():
     m = np.zeros((3, 3), dtype=complex)
     with pytest.raises(DegenerateChannelError):
         solve_psd(m, np.ones(3, dtype=complex))
+
+
+@pytest.mark.parametrize("n_A, n_E", [(2, 4), (3, 3), (4, 6)])
+def test_solve_psd_rank_deficient_gram_raises_documented_error(n_A, n_E):
+    # two equal columns make the Gram G^H G singular. Rounding lets its
+    # Cholesky pass on some draws (e.g. n_A=2, n_E=4, seed 5), and the solve
+    # after it then raised a raw LinAlgError; any other exception fails here
+    raised = 0
+    for seed in range(300):
+        rng = np.random.default_rng([n_A, n_E, seed])
+        g = sample_cn_matrix(n_E, n_A, rng)
+        g[:, 1] = g[:, 0]
+        try:
+            solve_psd(g.conj().T @ g, sample_cn(n_A, rng).conj())
+        except DegenerateChannelError:
+            raised += 1
+    assert raised > 0

@@ -12,12 +12,11 @@ from steepsim.sigsim import (
     SYMBOL_BLOCK,
     alice_receiver,
     eve_receiver,
-    mmse_gain,
     run_phase1,
     run_phase2,
     variance_report,
 )
-from steepsim.steep import mmse_residual_cov
+from steepsim.steep import mmse_estimator
 
 CFG = SystemConfig(n_A=4, n_E=3, P_A_dB=20.0, P_B_dB=30.0)
 DATA = Path(__file__).parent / "data"
@@ -40,7 +39,7 @@ def _run_block(cfg, ch, m, rng, noiseless=False) -> dict:
         w_B, W_EA, W_A, W_EB = (np.zeros_like(w) for w in (w_B, W_EA, W_A, W_EB))
     pbp = reference_power(cfg, norm2(ch.h_BA))
     y_B, Y_EA = run_phase1(cfg, ch, X_A, w_B, W_EA)
-    X_hat = mmse_gain(cfg, ch) @ Y_EA
+    X_hat = mmse_estimator(cfg, ch.G_A)[0] @ Y_EA
     hx_A = ch.h_BA @ X_A
     Y_A, Y_EB = run_phase2(cfg, ch, y_B, pbp, s, W_A, W_EB)
     r_A = alice_receiver(ch, Y_A, hx_A, pbp)
@@ -95,7 +94,7 @@ def test_variance_report_agrees_with_closed_forms():
     assert abs(rep["sigma2_vA_emp"] - rep["sigma2_vA"]) <= 3.0 * rep["sigma2_vA_se"]
     assert abs(rep["sigma2_vE_emp"] - rep["sigma2_vE"]) <= 3.0 * rep["sigma2_vE_se"]
     assert rep["cov_max_dev_se"] <= 5.0
-    assert np.allclose(rep["cov_delta"], mmse_residual_cov(CFG, ch.G_A))
+    assert np.allclose(rep["cov_delta"], mmse_estimator(CFG, ch.G_A)[1])
 
 
 def test_estimator_residual_orthogonal_to_estimate():
@@ -116,12 +115,6 @@ def test_empirical_snr_reproduces_capacity_terms():
         analytic = math.log2(1.0 + 1.0 / rep[name])
         empirical = math.log2(1.0 + 1.0 / rep[f"{name}_emp"])
         assert empirical == pytest.approx(analytic, rel=0.02)
-
-
-def test_mmse_gain_shape():
-    ch = sample_realization(CFG, np.random.default_rng(8))
-    w = mmse_gain(CFG, ch)
-    assert w.shape == (4, 3)
 
 
 @pytest.mark.filterwarnings("error")

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from steepsim.steep import (
     c_steep_asymptotic_nA_le_nE,
     c_steep_large_pb,
     log2_ratio,
-    mmse_residual_cov,
+    mmse_estimator,
     natural_outage_condition,
     outage_power_threshold,
     sdof,
@@ -75,7 +76,6 @@ def test_beta_accuracy_against_40_digits(n_A, n_E):
     # When n_A > n_E, the route through I + s*G G^H never forms the rank-n_E
     # Gram G^H G, so it stays near rounding level up to 80 dB, where the LU
     # route has lost about half the digits
-    mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
     worst_chol = worst_lu = 0.0
@@ -114,10 +114,20 @@ def test_beta_bounded_by_return_link_energy(n_A, n_E, seed):
     assert 0.0 < b <= norm2(ch.h_BA) * (1.0 + 1e-12)
 
 
+def test_mmse_estimator_shapes():
+    # W is n_A x n_E and R is n_A x n_A, on either side of n_A = n_E
+    for n_A, n_E in [(4, 3), (3, 4)]:
+        cfg = _cfg(n_A=n_A, n_E=n_E)
+        ch = sample_realization(cfg, np.random.default_rng(8))
+        w, r = mmse_estimator(cfg, ch.G_A)
+        assert w.shape == (n_A, n_E)
+        assert r.shape == (n_A, n_A)
+
+
 def test_residual_cov_spectrum_in_unit_interval():
     cfg = _cfg(n_A=5, n_E=3)
     ch = sample_realization(cfg, np.random.default_rng(12))
-    r = mmse_residual_cov(cfg, ch.G_A)
+    _, r = mmse_estimator(cfg, ch.G_A)
     lam = np.linalg.eigvalsh(r)
     assert np.all(lam > 0.0)
     assert np.all(lam <= 1.0 + 1e-12)
@@ -125,7 +135,8 @@ def test_residual_cov_spectrum_in_unit_interval():
 
 def test_residual_cov_identity_for_blind_eavesdropper():
     cfg = _cfg(n_A=3, n_E=2)
-    r = mmse_residual_cov(cfg, np.zeros((2, 3), dtype=complex))
+    w, r = mmse_estimator(cfg, np.zeros((2, 3), dtype=complex))
+    assert not np.any(w)
     assert np.allclose(r, np.eye(3), atol=1e-14)
     ch = sample_realization(cfg, np.random.default_rng(13))
     blind = ChannelRealization(
@@ -238,27 +249,37 @@ def test_asymptote_rejects_rank_deficient_probe_channel(n_A, n_E):
             c_steep_asymptotic_nA_le_nE(cfg, dataclasses.replace(ch, G_A=G_A))
 
 
-@pytest.mark.parametrize("n_A, n_E", [(4, 1), (8, 3), (4, 6), (16, 8)])
+def _rel_err(x: np.ndarray, exact) -> float:
+    exact = np.array(exact.tolist(), dtype=complex)
+    return float(np.linalg.norm(x - exact) / np.linalg.norm(exact))
+
+
+@pytest.mark.parametrize("n_A, n_E", [(4, 1), (8, 3), (4, 6), (1, 6), (16, 8)])
 def test_residual_cov_accuracy_against_40_digits(n_A, n_E):
-    # R = (s*G_A^H G_A + I)^{-1} of the float64 inputs at 40 digits, up to
-    # Eve's largest accepted probe SNR. When n_A > n_E, a route through the
-    # rank-n_E Gram G_A^H G_A loses accuracy in proportion to the probe SNR
-    # (4e-7 to 9e-7 relative on these draws at 100 dB); the SVD does not
-    mpmath = pytest.importorskip("mpmath")
+    # Eve's filter W = sqrt(a) G_A^H (a G_A G_A^H + sigma2_EA I)^{-1},
+    # a = P_A/n_A, and residual R = (s*G_A^H G_A + I)^{-1} of the float64
+    # inputs at 40 digits, up to Eve's largest accepted probe SNR. A route
+    # through a rank-deficient Gram loses accuracy in proportion to the
+    # probe SNR: G_A^H G_A for R when n_A > n_E (4e-7 to 9e-7 relative on
+    # these draws at 100 dB), G_A G_A^H for W when n_A < n_E (1.3e-6 at 4x6
+    # and 4.5e-6 at 1x6, 100 dB); the SVD does not
     mp = mpmath.mp.clone()
     mp.dps = 40
-    worst = 0.0
+    worst_w = worst_r = 0.0
     for seed in range(4):
         ch = sample_realization(_cfg(n_A=n_A, n_E=n_E), np.random.default_rng([n_A, n_E, seed]))
         G = mp.matrix(ch.G_A.tolist())
-        gram = G.H * G
+        gram_a, gram_e = G.H * G, G * G.H
         for P_A_dB in (20.0, 60.0, 100.0):
             cfg = _cfg(n_A=n_A, n_E=n_E, P_A_dB=P_A_dB)
             s = mp.mpf(cfg.P_A / (cfg.n_A * cfg.sigma2_EA))
-            exact = np.array(mp.inverse(gram * s + mp.eye(n_A)).tolist(), dtype=complex)
-            err = np.linalg.norm(mmse_residual_cov(cfg, ch.G_A) - exact) / np.linalg.norm(exact)
-            worst = max(worst, float(err))
-    assert worst <= 1e-12, worst
+            a = mp.mpf(cfg.P_A) / n_A
+            w, r = mmse_estimator(cfg, ch.G_A)
+            exact_w = mp.sqrt(a) * G.H * mp.inverse(gram_e * a + mp.eye(n_E) * cfg.sigma2_EA)
+            worst_w = max(worst_w, _rel_err(w, exact_w))
+            worst_r = max(worst_r, _rel_err(r, mp.inverse(gram_a * s + mp.eye(n_A))))
+    assert worst_w <= 1e-12, worst_w
+    assert worst_r <= 1e-12, worst_r
 
 
 def test_sdof_hand_values():
