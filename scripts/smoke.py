@@ -13,7 +13,8 @@ checks, in order:
 - a 1031-trial ensemble at n_A=16, n_E=8 exits 0 on 2 workers and on 1,
   and the two runs' samples.csv, outage.csv and histogram.csv are
   byte-identical. n_E < n_A takes beta's n_E-sized route, and 2 workers
-  take the process pool with its pinned workers;
+  take the fork-join path: one pinned worker process and one pipe per
+  chunk;
 - the verify and the 2-worker ensemble, rerun with MALLOC_PERTURB_=165 in
   their environment, exit 0 with the same verify stdout and the same CSV
   bytes. glibc then fills memory that malloc hands out, and memory freed,

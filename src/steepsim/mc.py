@@ -19,14 +19,17 @@ complement of 1 + beta >= 1, so neither factorization can fail.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
 the scalar API, so every float equals the scalar result bit for bit.
 
-With several workers, each chunk runs in a ProcessPoolExecutor worker
-(forked on Linux) that first pins itself to its share of the parent's CPU
-affinity mask (see _cpu_shares). Left to the kernel, both workers of a
-2-worker run on a 2-CPU machine were seen to share one CPU for the whole
-run, which made the run slower than one worker. The parent's own mask never
-changes, a worker that cannot pin itself runs unpinned, and a worker that
-dies fails the run at once. numpy.random is imported with this module, so
-every forked worker starts with it loaded.
+With several workers, the run forks and joins: each non-empty chunk gets one
+worker process (forked on Linux) and one pipe, and the caller waits on every
+pipe and every worker's exit at once (see _fork_join). A worker first pins
+itself to its share of the parent's CPU affinity mask (see _cpu_shares).
+Left to the kernel, both workers of a 2-worker run on a 2-CPU machine were
+seen to share one CPU for the whole run, which made the run slower than one
+worker. The parent's own mask never changes, and a worker that cannot pin
+itself runs unpinned. A worker's exception is raised again in the caller,
+and a worker that dies before its chunk's result is sent fails the run at
+once, naming the chunk's trials. numpy.random is imported with this module,
+so every forked worker starts with it loaded.
 """
 from __future__ import annotations
 
@@ -315,19 +318,77 @@ def _cpu_shares(n: int) -> list:
     return [cpus[i % len(cpus)::n] for i in range(n)]
 
 
-def _pinned_chunk(cpus, chunk) -> tuple:
-    """_run_chunk on chunk in a worker process, pinned to cpus.
+def _pinned_chunk(cpus, chunk, conn) -> None:
+    """Worker process body: _run_chunk on chunk, pinned to cpus.
 
-    Only worker processes run this, so the calling process's mask never
-    changes. A failed pin leaves the chunk unpinned. _run_chunk is read from
-    the module here, in the worker.
+    Sends (True, columns) or (False, exception) through conn. Only worker
+    processes run this, so the calling process's mask never changes. A failed
+    pin leaves the chunk unpinned. _run_chunk is read from the module here,
+    in the worker.
     """
     if cpus is not None:
         try:
             os.sched_setaffinity(0, cpus)
         except OSError:
             pass
-    return _run_chunk(chunk)
+    try:
+        result = (True, _run_chunk(chunk))
+    except Exception as exc:
+        result = (False, exc)
+    with conn:
+        conn.send(result)
+
+
+def _fork_join(jobs: list, seed: int) -> list:
+    """Columns of each job, each run in its own worker process.
+
+    Every worker gets one pipe and one share of the CPUs. Every pipe is read
+    before any worker is joined: a worker blocked on a full pipe never exits.
+    """
+    # loaded here, with the workers: sdof, single and verify never need it
+    from multiprocessing.connection import wait
+
+    ctx = get_context(_START_METHOD)
+    procs, readers = [], []
+    # chunk i is done when its result or its worker's exit shows first
+    waiting = {}
+    try:
+        for i, (cpus, job) in enumerate(zip(_cpu_shares(len(jobs)), jobs)):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            with writer:  # the worker holds the only write end once started
+                proc = ctx.Process(target=_pinned_chunk, args=(cpus, job, writer))
+                proc.start()
+            procs.append(proc)
+            waiting[reader] = waiting[proc.sentinel] = i
+        parts = [None] * len(jobs)
+        while waiting:
+            i = waiting[wait(list(waiting))[0]]
+            del waiting[readers[i]], waiting[procs[i].sentinel]
+            # an exited worker's result, if it sent one, is whole in the pipe.
+            # The poll keeps recv from waiting on an empty pipe whose write
+            # end a worker forked by another thread (a second run) inherited.
+            try:
+                if not readers[i].poll():
+                    raise EOFError
+                ok, value = readers[i].recv()
+            except (EOFError, OSError):
+                _, _, lo, hi = jobs[i]
+                raise ChildProcessError(
+                    f"seed {seed}: the worker process for trials {lo}-{hi - 1} died"
+                ) from None
+            if not ok:
+                raise value
+            parts[i] = value
+        return parts
+    finally:
+        for proc in procs:
+            if proc.exitcode is None:
+                proc.kill()
+            proc.join()
+            proc.close()
+        for reader in readers:
+            reader.close()
 
 
 def empirical_outage(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -361,8 +422,10 @@ def run_ensemble(
     Raises:
         InfeasiblePowerError: if the configured budget cannot cover the
             probe-noise floor (checked once, before any trial runs).
-        DegenerateChannelError: if a draw has a zero-norm response.
-        ChildProcessError: if a worker process dies before its chunk is done.
+        DegenerateChannelError: if a draw has a zero-norm response, in the
+            caller or in the worker process that ran the trial.
+        ChildProcessError: if a worker process dies before its chunk's result
+            is sent; the message names the chunk's first and last trial.
         ValueError: on a trial count outside [1, MAX_TRIALS], a negative
             seed, a worker count outside [1, MAX_WORKERS], or an unsorted or
             non-finite grid. All are checked before any trial runs.
@@ -389,16 +452,9 @@ def run_ensemble(
     if len(jobs) == 1:
         parts = [_run_chunk(jobs[0])]
     else:
-        # loaded here, with the pool: sdof, single and verify never need it
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
         # one process per non-empty chunk: with fewer trials than workers,
         # the extra workers would have nothing to do
-        try:
-            with ProcessPoolExecutor(len(jobs), mp_context=get_context(_START_METHOD)) as pool:
-                parts = list(pool.map(_pinned_chunk, _cpu_shares(len(jobs)), jobs))
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"seed {seed}: a worker process died") from exc
+        parts = _fork_join(jobs, seed)
     cs, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))
     # baseline.conventional's c_conv and gain, formed here, not sent by workers
     cc = _clamp(c1) + _clamp(c2)

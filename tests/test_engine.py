@@ -5,12 +5,12 @@ for bit, agree with the scalar per-realization API on every trial, match
 rates stored from the scalar per-trial loop it replaced, and write the same
 bytes at any worker count.
 """
-import concurrent.futures.process
 import csv
 import dataclasses
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -115,7 +115,28 @@ def test_seed_words_hand_out_rows_in_order():
     assert rows[1].tolist() == want.tolist()
 
 
-# the process pool: one process per non-empty chunk
+# the worker processes: one process and one pipe per non-empty chunk
+
+class StandInProcess:
+    """Runs its target in this process at start; then it has exited."""
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+        self.exitcode = None
+
+    def start(self):
+        self.target(*self.args)
+        self.exitcode = 0
+        # an exited process's sentinel is ready: a pipe with no writer left
+        self.sentinel, writer = os.pipe()
+        os.close(writer)
+
+    def join(self):
+        pass
+
+    def close(self):
+        os.close(self.sentinel)
+
 
 @pytest.mark.parametrize(
     "trials, workers, pool_sizes",
@@ -124,27 +145,24 @@ def test_seed_words_hand_out_rows_in_order():
 def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatch):
     sizes, starts, chunks, pins = [], [], [], []
 
-    class StandInExecutor:
-        """Records the pool size and start method; runs the chunks here."""
+    class StandInContext:
+        """Records the start method and the processes started under it."""
 
-        def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
-            starts.append(mp_context.get_start_method())
+        def __init__(self, method):
+            starts.append(multiprocessing.get_context(method).get_start_method())
+            sizes.append(0)
 
-        def __enter__(self):
-            return self
+        Pipe = staticmethod(multiprocessing.Pipe)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def Process(self, target, args):
+            sizes[-1] += 1
+            return StandInProcess(target, args)
 
     def run_chunk(job):
         chunks.append(job[2:])
         return _run_chunk(job)
 
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", StandInExecutor)
+    monkeypatch.setattr(mc, "get_context", StandInContext)
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
     # the chunks run in this process, which must never be pinned: record
     # the CPU set each chunk asks for instead
@@ -163,10 +181,27 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatc
 
 
 def test_worker_count_bounded(monkeypatch):
-    # nothing may start a pool
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", None)
+    # nothing may start a worker process
+    monkeypatch.setattr(mc, "get_context", None)
     with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}"):
         run_ensemble(_cfg(), trials=10**6, seed=1, workers=MAX_WORKERS + 1)
+
+
+def test_spawned_workers_match_one_worker(monkeypatch):
+    # macOS and Windows start workers this way: a fresh interpreter that
+    # imports steepsim and gets its chunk and pipe end pickled
+    cfg = _cfg(n_A=16, n_E=8)
+    want = run_ensemble(cfg, trials=700, seed=5)
+    monkeypatch.setattr(mc, "_START_METHOD", "spawn")
+
+    def forked_chunk(job):
+        raise AssertionError("a forked worker ran this process's _run_chunk")
+
+    # a spawned worker imports steepsim.mc afresh and never sees this patch
+    monkeypatch.setattr(mc, "_run_chunk", forked_chunk)
+    got = run_ensemble(cfg, trials=700, seed=5, workers=2)
+    for name in ("c_steep", "c1", "c2"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 # each worker runs its chunk on its share of the CPUs
@@ -287,12 +322,114 @@ def test_dead_worker_fails_the_run(entry, tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
         elapsed, message = proc.stdout.split(" ", 1)
         assert float(elapsed) < 10.0
-        assert message == "seed 9: a worker process died\n"
+        assert message == "seed 9: the worker process for trials 300-599 died\n"
     else:
         assert proc.returncode == 2
-        assert proc.stderr == "error: seed 9: a worker process died\n"
+        assert proc.stderr == "error: seed 9: the worker process for trials 300-599 died\n"
         assert proc.stdout == ""
         assert not out.exists()
+
+
+# a worker's exception crosses its pipe and is raised again in the caller
+
+_ZERO_TRIAL = 450  # in the second chunk of 600 trials on 2 workers
+
+
+def _zero_one_trial(monkeypatch):
+    """Make trial _ZERO_TRIAL's draw all zeros, wherever its chunk runs."""
+    child_normals = _child_normals
+
+    def zeroed(seed, start, stop, width):
+        z = child_normals(seed, start, stop, width)
+        if start <= _ZERO_TRIAL < stop:
+            z[_ZERO_TRIAL - start] = 0.0
+        return z
+
+    monkeypatch.setattr(mc, "_child_normals", zeroed)
+
+
+_ZERO_MESSAGE = f"trial {_ZERO_TRIAL} of seed 9: degenerate draw: h_BA has zero norm"
+_FORKED = pytest.mark.skipif(
+    mc._START_METHOD != "fork", reason="workers inherit the patched draw by fork"
+)
+
+
+@_FORKED
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_exception_reaches_the_caller(workers, monkeypatch):
+    _zero_one_trial(monkeypatch)
+    with pytest.raises(DegenerateChannelError) as info:
+        run_ensemble(_cfg(), trials=600, seed=9, workers=workers)
+    assert str(info.value) == _ZERO_MESSAGE
+
+
+@_FORKED
+def test_worker_exception_fails_the_cli_run(monkeypatch, capsys, tmp_path):
+    from steepsim.cli import main
+
+    _zero_one_trial(monkeypatch)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text("n_A = 4\nn_E = 6\nP_A_dB = 20\nP_B_dB = 30\n")
+    rc = main([
+        "ensemble", "--config", str(cfg), "--trials", "600", "--seed", "9",
+        "--workers", "2", "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", f"error: {_ZERO_MESSAGE}\n")
+    assert not out.exists()
+
+
+# a run leaves no worker process and no open pipe behind, however it ends
+
+def _open_fds() -> set:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(
+    mc._START_METHOD != "fork" or not os.path.isdir("/proc/self/fd"),
+    reason="workers inherit the patched chunk by fork; open descriptors from /proc",
+)
+@pytest.mark.parametrize("ending", ["normal", "killed worker", "worker exception"])
+def test_nothing_left_behind(ending, monkeypatch):
+    pipes = []
+    context = mc.get_context
+
+    class RecordingContext:
+        """The real context, recording every pipe end it makes."""
+
+        def __init__(self, method):
+            self.ctx = context(method)
+            self.Process = self.ctx.Process
+
+        def Pipe(self, duplex):
+            ends = self.ctx.Pipe(duplex)
+            pipes.extend(ends)
+            return ends
+
+    if ending == "killed worker":
+        run_chunk = _run_chunk
+
+        def dying_chunk(job):
+            if job[2] > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_chunk(job)
+
+        monkeypatch.setattr(mc, "_run_chunk", dying_chunk)
+        expected = ChildProcessError
+    elif ending == "worker exception":
+        _zero_one_trial(monkeypatch)
+        expected = DegenerateChannelError
+    monkeypatch.setattr(mc, "get_context", RecordingContext)
+    run_ensemble(_cfg(), trials=6, seed=9)  # anything loaded on first use
+    before = _open_fds()
+    if ending == "normal":
+        run_ensemble(_cfg(), trials=600, seed=9, workers=2)
+    else:
+        with pytest.raises(expected):
+            run_ensemble(_cfg(), trials=600, seed=9, workers=2)
+    assert multiprocessing.active_children() == []
+    assert len(pipes) == 4 and all(end.closed for end in pipes)
+    assert _open_fds() == before
 
 
 # differential test against the scalar API
