@@ -19,9 +19,9 @@ checks, in order:
   their environment, exit 0 with the same verify stdout and the same CSV
   bytes. glibc then fills memory that malloc hands out, and memory freed,
   with a fixed non-zero byte, so an array read before it is written gives
-  other numbers. The CLI keeps freed block memory in the heap, where such a
-  read would otherwise see an earlier block's values rather than the zeros
-  of a fresh page.
+  other numbers. Every caller keeps freed block memory in the heap, where
+  such a read would otherwise see an earlier block's values rather than the
+  zeros of a fresh page.
 The script stops at the first check that fails, names it and exits 1; it
 exits 0 when every check holds.
 """

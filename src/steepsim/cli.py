@@ -16,7 +16,6 @@ name the seed of the failing realization.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import sys
@@ -48,36 +47,6 @@ MAX_RS_POINTS = 10**6
 # n_E=6; 1.1 kB at n_A = n_E = MAX_ANTENNAS), so 10^7 symbols take ~2.2 GB
 # there and ~11 GB at the antenna bound
 MAX_VERIFY_M = 10**7
-# glibc mallopt parameters and the values the CLI gives them. An ensemble
-# block (512 trials) and a verify block (4096 symbols) each allocate and free
-# numpy temporaries of a few hundred kB up to 1.4 MB. At glibc's defaults
-# those come from fresh mmaps, or are trimmed back to the kernel, and every
-# page faults again on the next block: 16.2k minor faults in a 6000-trial
-# n16e8 chunk and 36.3k in one verify at m = 500 000, against 1.4k and 2.6k
-# with these thresholds. 4 MiB keeps every such array on the heap; 16 MiB of
-# free heap top outlasts one block's transient working set. 32/64 MiB
-# removed the faults too, but raised a 10^6-trial run's peak RSS by 10 %.
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_BYTES = 4 << 20
-TRIM_THRESHOLD_BYTES = 16 << 20
-
-
-def _keep_block_memory() -> None:
-    """Set glibc's mmap and trim thresholds for this process and its forks.
-
-    Linux with glibc only; elsewhere, or without a mallopt symbol, nothing
-    changes. A 0 return (a rejected value) leaves the default in place.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -304,7 +273,6 @@ def _fail(message, status: int) -> int:
 
 
 def main(argv=None) -> int:
-    _keep_block_memory()
     args = build_parser().parse_args(argv)
     try:
         if "config" in args:

@@ -1,8 +1,9 @@
 """Complex-valued sampling and linear algebra primitives shared by all modules.
 
 Thin contract layer over numpy: circular complex Gaussian draws, Hermitian
-eigendecomposition with a fixed (descending) eigenvalue order, and a guarded
-positive-definite solver. Vectors and matrices are plain complex128 ndarrays.
+eigendecomposition with a fixed (descending) eigenvalue order, a guarded
+positive-definite solver, and the heap rule for block temporaries. Vectors
+and matrices are plain complex128 ndarrays.
 """
 from __future__ import annotations
 
@@ -13,10 +14,26 @@ import numpy as np
 # Tolerance ladder: symmetry checks at 1e-12, algebraic identities at 1e-10,
 # statistical checks at 3-5 standard errors (see tests).
 HERMITIAN_TOL = 1e-12
+# Rounding lets the Cholesky of an exactly singular Gram pass, with its least
+# squared pivot within 1.9 eps of its largest diagonal entry (n <= 4); that of
+# I + 1e10*G^H G stayed above 1800*n eps (n <= 16).
+SINGULAR_PIVOT_TOL = 4 * np.finfo(float).eps
 
 
 class DegenerateChannelError(Exception):
     """A channel draw or derived matrix is too degenerate to analyze."""
+
+
+def keep_block_memory() -> None:
+    """Make glibc keep the numpy temporaries that later blocks free in the heap.
+
+    An ensemble or verify block frees arrays of up to 1.4 MB, which glibc
+    would otherwise serve from fresh mmaps, faulting every page again on each
+    block. Freeing this mmap-served 4 MiB array raises glibc's dynamic mmap
+    threshold to its size and the trim threshold to twice that (glibc's
+    M_MMAP_THRESHOLD documentation). Other allocators ignore it.
+    """
+    np.empty(4 << 20, dtype=np.uint8)
 
 
 # numpy divides (re + 1j*im) by the real sqrt(2) through Smith's algorithm,
@@ -93,11 +110,14 @@ def solve_psd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve m @ x = rhs for Hermitian positive definite m.
 
     Raises:
-        DegenerateChannelError: if m is singular or indefinite (Cholesky or solve fails).
+        DegenerateChannelError: if m is singular or indefinite, or if a
+            squared Cholesky pivot is at most n*SINGULAR_PIVOT_TOL*max(diag m).
     """
     m = np.asarray(m)
     try:
-        np.linalg.cholesky(m)
+        pivots = np.abs(np.diagonal(np.linalg.cholesky(m))) ** 2
+        if pivots.min() <= m.shape[0] * SINGULAR_PIVOT_TOL * np.diagonal(m).real.max():
+            raise np.linalg.LinAlgError("singular within rounding")
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateChannelError("matrix is singular or not positive definite") from exc

@@ -17,7 +17,8 @@ one batched Cholesky factorization of steep.beta's bordered matrix: the
 one, with beta = ||h_BA||^2 - q, when n_A > n_E. Both have a Schur
 complement of 1 + beta >= 1, so neither factorization can fail.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
-the scalar API, so every float equals the scalar result bit for bit.
+the scalar API, so every float equals the scalar result bit for bit. After a
+chunk's linops.keep_block_memory call, each block reuses the heap the last freed.
 
 With several workers, the run forks and joins: each non-empty chunk gets one
 worker process (forked on Linux) and one pipe, and the caller waits on every
@@ -48,7 +49,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .channel import SystemConfig, reference_power
-from .linops import DegenerateChannelError, cn_from_normals, cn_parts
+from .linops import DegenerateChannelError, cn_from_normals, cn_parts, keep_block_memory
 from .steep import LN2, log2_ratio
 # not called here: the benchmark's tracer wraps them under steepsim.mc
 from .baseline import conventional  # noqa: F401
@@ -191,9 +192,14 @@ def _child_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     return out
 
 
+def _draw_shapes(cfg: SystemConfig) -> list:
+    """Shapes of one trial's CN draws: h_BA, w, g_B and G_A."""
+    return [(cfg.n_A,), (cfg.n_A,), (cfg.n_E,), (cfg.n_E, cfg.n_A)]
+
+
 def _normals_per_trial(cfg: SystemConfig) -> int:
-    """Length of one trial's draw: re/im of h_BA, w, g_B and G_A."""
-    return 2 * (2 * cfg.n_A + cfg.n_E + cfg.n_E * cfg.n_A)
+    """Length of one trial's draw: re/im of each of _draw_shapes."""
+    return 2 * sum(math.prod(shape) for shape in _draw_shapes(cfg))
 
 
 def _norm2(v: np.ndarray) -> np.ndarray:
@@ -259,10 +265,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     Raises:
         DegenerateChannelError: if a response of some trial has zero norm.
     """
-    n_A, n_E = cfg.n_A, cfg.n_E
-    h_BA, w, g_B, G_A = (
-        cn_from_normals(re, im) for re, im in cn_parts(z, [(n_A,), (n_A,), (n_E,), (n_E, n_A)])
-    )
+    h_BA, w, g_B, G_A = (cn_from_normals(re, im) for re, im in cn_parts(z, _draw_shapes(cfg)))
     h_AB = cfg.gamma * h_BA + (1.0 - cfg.gamma) * w
     nh_BA, nh_AB, ng_B = _norm2(h_BA), _norm2(h_AB), _norm2(g_B)
     bad = np.column_stack([nh_BA == 0.0, nh_AB == 0.0, ~G_A.any(axis=(1, 2)), ng_B == 0.0])
@@ -294,6 +297,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
 
 
 def _run_chunk(args) -> tuple:
+    keep_block_memory()
     cfg, seed, start, stop = args
     width = _normals_per_trial(cfg)
     blocks = [
@@ -398,7 +402,7 @@ def empirical_outage(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _histogram(samples: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray]:
-    hi = float(samples.max()) if samples.size else lo
+    hi = float(samples.max())
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, HIST_BINS + 1)

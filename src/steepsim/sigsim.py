@@ -11,6 +11,7 @@ column per symbol: run_phase1, run_phase2, alice_receiver and eve_receiver.
 variance_report is the one place that draws: one buffer per phase, split by
 linops.cn_parts. It runs the steps over column blocks of SYMBOL_BLOCK symbols,
 one pass per phase, and keeps only three length-m vectors between passes.
+After its linops.keep_block_memory call, each block reuses the heap the last freed.
 Eve's MMSE filter and its residual covariance are one steep.mmse_estimator call.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemConfig, norm2, response_norm2
 from . import steep as _steep
-from .linops import cn_from_normals, cn_parts
+from .linops import cn_from_normals, cn_parts, keep_block_memory
 # not called here: the benchmark's tracer wraps them under steepsim.sigsim
 from .channel import reference_power  # noqa: F401
 from .linops import sample_cn, sample_cn_matrix  # noqa: F401
@@ -133,6 +134,7 @@ def variance_report(
     h_BA^T X_hat for pass 2, which reuses the buffer: about
     16*(n_A + n_E + 4) bytes per symbol in all.
     """
+    keep_block_memory()
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n_A, n_E = cfg.n_A, cfg.n_E

@@ -3,10 +3,13 @@ import dataclasses
 import io
 import json
 import math
+import os
+import platform
 import re
 import string
+import subprocess
+import sys
 import tempfile
-import types
 from pathlib import Path
 
 import numpy as np
@@ -646,65 +649,75 @@ def test_verify_fuzz_exits_cleanly(inputs, seed, m):
     assert "nan" not in out and "inf" not in out
 
 
-# the allocator thresholds main sets before anything else
+# block memory that every caller keeps in the heap (linops.keep_block_memory).
+# Each case runs in a fresh interpreter, where glibc's mmap threshold still
+# has its start value, and counts the minor page faults of one measured call.
+# With the heap kept, 16 blocks of _run_chunk fault 1-70 times, and a first
+# variance_report at m = 500 000 or a whole CLI call 1.7k-2.7k times, mostly
+# on the pages of its large run-long arrays. Without it each block faults
+# again: 2.2k-3.8k faults at n4e6, 11k-22k at n16e8, 8.7k-25k in that first
+# variance_report (how many depends on what the interpreter freed before)
+# and 21k-23k in the CLI calls. Each bound lies near the geometric mean.
+
+_FAULTS = """\
+import resource, sys
+import numpy as np
+from steepsim.channel import SystemConfig, sample_realization
+n4e6, n16e8 = SystemConfig(4, 6, 20.0, 30.0), SystemConfig(16, 8, 20.0, 30.0)
+{setup}
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+{call}
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
-class _FakeMallopt:
-    """Stands in for libc's mallopt: records its calls, returns ret."""
-
-    def __init__(self, ret):
-        self.ret = ret
-        self.calls = []
-
-    def __call__(self, param, value):
-        self.calls.append((param, value))
-        return self.ret
-
-
-def _fake_libc(monkeypatch, platform="linux", ret=1, symbol=True):
-    """Point cli's ctypes.CDLL(None) at a fake libc; return its mallopt."""
-    mallopt = _FakeMallopt(ret)
-    libc = types.SimpleNamespace(mallopt=mallopt) if symbol else types.SimpleNamespace()
-    opened = []
-    monkeypatch.setattr(cli.sys, "platform", platform)
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
-    return mallopt, opened
+def _minor_faults(setup: str, call: str, *argv: str, cwd=None) -> int:
+    """Minor page faults of call, run after setup in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS.format(setup=setup, call=call), *argv],
+        capture_output=True, text=True, timeout=120, env=env, cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
 
 
-@pytest.mark.parametrize("ret", [1, 0], ids=["accepted", "rejected"])
-def test_malloc_thresholds_set_on_linux(monkeypatch, ret):
-    # a 0 return (glibc rejected the value) is ignored, not raised
-    mallopt, opened = _fake_libc(monkeypatch, ret=ret)
-    cli._keep_block_memory()
-    assert opened == [None]
-    assert mallopt.calls == [
-        (cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES),
-        (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD_BYTES),
-    ]
-    assert (cli.M_MMAP_THRESHOLD, cli.M_TRIM_THRESHOLD) == (-3, -1)
-    assert (cli.MMAP_THRESHOLD_BYTES, cli.TRIM_THRESHOLD_BYTES) == (4 << 20, 16 << 20)
-    assert mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
-    assert mallopt.restype is cli.ctypes.c_int
+_glibc_only = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the mmap threshold rule is glibc's"
+)
 
 
-def test_malloc_thresholds_untouched_off_linux(monkeypatch):
-    mallopt, opened = _fake_libc(monkeypatch, platform="darwin")
-    cli._keep_block_memory()
-    assert opened == [] and mallopt.calls == []
+@_glibc_only
+@pytest.mark.parametrize("cfg, bound", [("n4e6", 400), ("n16e8", 1000)])
+def test_run_chunk_keeps_block_memory(cfg, bound):
+    # one warm block, then 16 measured blocks
+    faults = _minor_faults(
+        f"from steepsim import mc\nmc._run_chunk(({cfg}, 1, 0, 512))",
+        f"mc._run_chunk(({cfg}, 1, 512, 8704))",
+    )
+    assert faults < bound
 
 
-def test_malloc_thresholds_untouched_without_mallopt(monkeypatch):
-    # a Linux libc other than glibc may have no mallopt symbol
-    _, opened = _fake_libc(monkeypatch, symbol=False)
-    cli._keep_block_memory()
-    assert opened == [None]
+@_glibc_only
+def test_first_variance_report_keeps_block_memory():
+    faults = _minor_faults(
+        "from steepsim.sigsim import variance_report\n"
+        "ch = sample_realization(n4e6, np.random.default_rng(1))",
+        "variance_report(n4e6, ch, 500_000, np.random.default_rng(2))",
+    )
+    assert faults < 5000
 
 
-def test_main_sets_malloc_thresholds_once_before_the_subcommand(monkeypatch):
-    events = []
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "_keep_block_memory", lambda: events.append("thresholds"))
-    monkeypatch.setattr(cli, "build_parser", lambda: events.append("parse") or build_parser())
-    monkeypatch.setattr(cli, "cmd_sdof", lambda args: events.append("sdof") or 0)
-    assert main(["sdof", "--n_A", "4", "--n_E", "2", "--m_A", "100"]) == 0
-    assert events == ["thresholds", "parse", "sdof"]
+@_glibc_only
+@pytest.mark.parametrize(
+    "antennas, args, bound",
+    [
+        ("n_A = 16\nn_E = 8\n", ["ensemble", "--trials", "8192", "--out", "out"], 6000),
+        ("n_A = 4\nn_E = 6\n", ["verify", "--m", "500000"], 5000),
+    ],
+    ids=["ensemble", "verify"],
+)
+def test_cli_call_keeps_block_memory(tmp_path, antennas, args, bound):
+    (tmp_path / "run.cfg").write_text(antennas + "P_A_dB = 20\nP_B_dB = 30\n")
+    faults = _minor_faults("from steepsim.cli import main", "main(sys.argv[1:])", *args, "--config", "run.cfg", cwd=tmp_path)
+    assert faults < bound

@@ -121,8 +121,9 @@ def test_solve_psd_rejects_singular():
 @pytest.mark.parametrize("n_A, n_E", [(2, 4), (3, 3), (4, 6)])
 def test_solve_psd_rank_deficient_gram_raises_documented_error(n_A, n_E):
     # two equal columns make the Gram G^H G singular. Rounding lets its
-    # Cholesky pass on some draws (e.g. n_A=2, n_E=4, seed 5), and the solve
-    # after it then raised a raw LinAlgError; any other exception fails here
+    # Cholesky pass on some draws (e.g. n_A=2, n_E=4, seed 5), after which the
+    # solve raised a raw LinAlgError or, on 94 of 900 draws, returned ||x|| up
+    # to 1e34; any other exception fails here
     raised = 0
     for seed in range(300):
         rng = np.random.default_rng([n_A, n_E, seed])
@@ -132,4 +133,18 @@ def test_solve_psd_rank_deficient_gram_raises_documented_error(n_A, n_E):
             solve_psd(g.conj().T @ g, sample_cn(n_A, rng).conj())
         except DegenerateChannelError:
             raised += 1
-    assert raised > 0
+    assert raised == 300
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_solve_psd_accepts_ill_conditioned_gram(n):
+    # the singular-pivot rule must not reject a nonsingular matrix whose
+    # condition number reaches 1e10-1e12: G has fewer rows than columns
+    for seed in range(20):
+        rng = np.random.default_rng([n, seed])
+        g = sample_cn_matrix(max(1, n // 2), n, rng)
+        m = np.eye(n) + 1e10 * (g.conj().T @ g)
+        rhs = sample_cn(n, rng)
+        x = solve_psd(m, rhs)
+        residual = np.linalg.norm(m @ x - rhs)
+        assert residual <= 1e-14 * np.linalg.norm(m, 2) * np.linalg.norm(x)
