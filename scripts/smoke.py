@@ -10,11 +10,11 @@ checks, in order:
 - `sdof` with zero antennas exits 1 with a one-line error on stderr;
 - `verify` (m = 20000, seed 1) and `single --json` on a 5-line n_A=4,
   n_E=6 config exit 0;
-- a 1031-trial ensemble at n_A=16, n_E=8 exits 0 on 2 workers and on 1,
-  and the two runs' samples.csv, outage.csv and histogram.csv are
-  byte-identical. n_E < n_A takes beta's n_E-sized route, and 2 workers
-  take the fork-join path: one pinned worker process and one pipe per
-  chunk;
+- a 1031-trial ensemble at n_A=16, n_E=8 exits 0 on 2 workers, on 1 and
+  on 3, and the three runs' samples.csv, outage.csv and histogram.csv are
+  byte-identical. n_E < n_A takes beta's n_E-sized route. 1031 trials are
+  three blocks: on 2 workers the caller runs one beside one pinned helper
+  process, and on 3 workers two helpers share the hand-out;
 - the verify and the 2-worker ensemble, rerun with MALLOC_PERTURB_=165 in
   their environment, exit 0 with the same verify stdout and the same CSV
   bytes. glibc then fills memory that malloc hands out, and memory freed,
@@ -80,6 +80,7 @@ def _checks(command: list[str], work: Path) -> None:
 
     w2 = ensemble(2, work / "n16e8")
     compare(ensemble(1, work / "n16e8-w1"), w2, "the 1- and 2-worker ensembles")
+    compare(ensemble(3, work / "n16e8-w3"), w2, "the 3- and 2-worker ensembles")
     if run(*verify, env=PERTURB)[0] != verify_out:
         raise SmokeFailure("verify stdout differs under MALLOC_PERTURB_")
     compare(ensemble(2, work / "n16e8-perturbed", PERTURB), w2,

@@ -17,20 +17,23 @@ one batched Cholesky factorization of steep.beta's bordered matrix: the
 one, with beta = ||h_BA||^2 - q, when n_A > n_E. Both have a Schur
 complement of 1 + beta >= 1, so neither factorization can fail.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
-the scalar API, so every float equals the scalar result bit for bit. After a
-chunk's linops.keep_block_memory call, each block reuses the heap the last freed.
+the scalar API, so every float equals the scalar result bit for bit. After
+_run_chunk's linops.keep_block_memory call, each block reuses the heap the
+last freed.
 
-With several workers, the run forks and joins: each non-empty chunk gets one
-worker process (forked on Linux) and one pipe, and the caller waits on every
-pipe and every worker's exit at once (see _fork_join). A worker first pins
-itself to its share of the parent's CPU affinity mask (see _cpu_shares).
-Left to the kernel, both workers of a 2-worker run on a 2-CPU machine were
-seen to share one CPU for the whole run, which made the run slower than one
-worker. The parent's own mask never changes, and a worker that cannot pin
-itself runs unpinned. A worker's exception is raised again in the caller,
-and a worker that dies before its chunk's result is sent fails the run at
-once, naming the chunk's trials. numpy.random is imported with this module,
-so every forked worker starts with it loaded.
+With w workers, the caller starts w - 1 helper processes (forked on Linux),
+never more than blocks - 1, and runs the same block loop as they do. Blocks
+are handed out on demand through one token pipe per helper, with no lock
+(see _run_blocks). Every block, wherever it runs, goes through _run_chunk
+and formats its samples.csv rows on the spot (_run_block). A helper first
+pins itself to its share of the parent's CPU affinity mask (see
+_cpu_shares). Left to the kernel, both workers of a 2-worker run on a 2-CPU
+machine were seen to share one CPU for the whole run, which made the run
+slower than one worker. The caller's own mask never changes, and a helper
+that cannot pin itself runs unpinned. A helper's exception is raised again
+in the caller, and a helper that dies before its parts are sent fails the
+run at once, naming the trials of the blocks it held. numpy.random is
+imported with this module, so every forked helper starts with it loaded.
 """
 from __future__ import annotations
 
@@ -63,18 +66,19 @@ BLOCK_TRIALS = 512
 # largest trial count: every trial index fits one 32-bit seed word, and the
 # per-trial arrays of such a run already take about 180 GB
 MAX_TRIALS = 2**32
-# most worker processes: each is a forked copy of the parent, and workers
+# most workers: each beyond the caller is a forked copy of it, and workers
 # beyond the CPUs of the affinity mask share a CPU and only add start-up cost;
 # the bound keeps a mistyped count from forking thousands of processes
 MAX_WORKERS = 256
-# workers fork on Linux, inheriting the loaded modules; elsewhere they start
+# helpers fork on Linux, inheriting the loaded modules; elsewhere they start
 # the platform's default way: macOS deems fork unsafe and Windows has none
 _START_METHOD = "fork" if sys.platform == "linux" else None
 
 
 @dataclass
 class EnsembleResult:
-    """Aggregate of one ensemble run; per-trial arrays are indexed by trial."""
+    """Aggregate of one ensemble run; per-trial arrays are indexed by trial,
+    and sample_rows holds samples.csv's rows, one string per block."""
 
     cfg: SystemConfig
     trials: int
@@ -86,6 +90,7 @@ class EnsembleResult:
     natural_outage: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
+    sample_rows: list
     o_steep: np.ndarray
     o_conv: np.ndarray
     histograms: dict = field(default_factory=dict)
@@ -308,12 +313,12 @@ def _run_chunk(args) -> tuple:
 
 
 def _cpu_shares(n: int) -> list:
-    """CPU sets for n chunks, split from this process's affinity mask.
+    """CPU sets for n processes, split from this process's affinity mask.
 
-    Chunk i gets every n-th CPU of the mask from the (i mod size)-th on: with
-    n at most the mask's size the scheduler still chooses among several CPUs
-    on a large machine, and beyond it the chunks take single CPUs in turn. A
-    platform without affinity masks gets None for every chunk.
+    Share i holds every n-th CPU of the mask from the (i mod size)-th on:
+    with n at most the mask's size the scheduler still chooses among several
+    CPUs on a large machine, and beyond it the shares are single CPUs in
+    turn. A platform without affinity masks gets None for every share.
     """
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -322,77 +327,171 @@ def _cpu_shares(n: int) -> list:
     return [cpus[i % len(cpus)::n] for i in range(n)]
 
 
-def _pinned_chunk(cpus, chunk, conn) -> None:
-    """Worker process body: _run_chunk on chunk, pinned to cpus.
+# one samples.csv row: %.17g reads back as the same float64, %d a flag as 0/1
+_SAMPLE_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
 
-    Sends (True, columns) or (False, exception) through conn. Only worker
-    processes run this, so the calling process's mask never changes. A failed
-    pin leaves the chunk unpinned. _run_chunk is read from the module here,
-    in the worker.
+
+def _sample_rows(lo: int, *columns: np.ndarray) -> str:
+    """samples.csv rows of trials lo, lo + 1, ... from the columns c_steep,
+    c_conv, gain and natural_outage."""
+    n = columns[0].shape[0]
+    values = [None] * (5 * n)
+    values[0::5] = range(lo, lo + n)
+    for j, col in enumerate(columns, 1):
+        values[j::5] = col.tolist()
+    return _SAMPLE_ROW * n % tuple(values)
+
+
+def _run_block(cfg: SystemConfig, seed: int, lo: int, hi: int) -> tuple:
+    """Trials lo..hi-1: _run_chunk's columns and their samples.csv rows.
+
+    _run_chunk is read from the module here, in whichever process runs the
+    block. The rows take c_conv and gain elementwise as
+    baseline.conventional forms them.
     """
+    cs, no, c1, c2 = _run_chunk((cfg, seed, lo, hi))
+    cc = _clamp(c1) + _clamp(c2)
+    return cs, no, c1, c2, _sample_rows(lo, cs, cc, cs - cc, no)
+
+
+def _helper(cpus, cfg: SystemConfig, seed: int, tokens, results, inherited) -> None:
+    """Helper process body: run each block whose bounds arrive on tokens.
+
+    inherited holds the caller's pipe ends that a forked helper got copies
+    of; with them closed, the helper reads EOF, and finds no reader, once
+    the caller is gone. At the None token the helper sends each block's part
+    as (True, part), in the order the tokens came. At EOF it sends nothing.
+    An exception is sent at once as (False, exception) and ends the helper.
+    Only helpers pin themselves, so the caller's mask never changes; a
+    failed pin leaves the helper unpinned.
+    """
+    for conn in inherited:
+        conn.close()
     if cpus is not None:
         try:
             os.sched_setaffinity(0, cpus)
         except OSError:
             pass
-    try:
-        result = (True, _run_chunk(chunk))
-    except Exception as exc:
-        result = (False, exc)
-    with conn:
-        conn.send(result)
+    messages = []
+    with tokens, results:
+        try:
+            for lo, hi in iter(tokens.recv, None):
+                messages.append((True, _run_block(cfg, seed, lo, hi)))
+        except EOFError:
+            return  # the caller is gone, or has failed and reads no part
+        except Exception as exc:
+            messages = [(False, exc)]
+        try:
+            for message in messages:
+                results.send(message)
+        except BrokenPipeError:
+            pass  # the caller is gone
 
 
-def _fork_join(jobs: list, seed: int) -> list:
-    """Columns of each job, each run in its own worker process.
+def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> list:
+    """_run_block's part for each (lo, hi) of blocks, in block order.
 
-    Every worker gets one pipe and one share of the CPUs. Every pipe is read
-    before any worker is joined: a worker blocked on a full pipe never exits.
+    The caller claims blocks in order and runs them itself, beside `helpers`
+    helper processes. Each helper has one pipe for its tokens and one for its
+    parts, and its share of the CPUs. It gets two blocks before the caller
+    claims one; after each of its own blocks the caller hands one more to
+    every helper whose token pipe is empty, so a helper holds at most two,
+    but keeps the last block, which a helper could start only after its
+    current one. When no block is left, the caller ends each token pipe with
+    None and closes it; a caller that dies closes them too, and its helpers
+    read EOF and exit. A helper that exits while the caller still runs
+    blocks has failed. Every pipe is read before any helper is joined: a
+    helper blocked on a full pipe never exits.
     """
-    # loaded here, with the workers: sdof, single and verify never need it
-    from multiprocessing.connection import wait
+    parts = [None] * len(blocks)
+    claimed = 0
+    # per helper: its process, the caller's ends of its token pipe (the
+    # write end, and a read end polled for a queued token), the read end of
+    # its result pipe and the blocks handed to it
+    procs, tokens, queues, readers, held = [], [], [], [], []
 
-    ctx = get_context(_START_METHOD)
-    procs, readers = [], []
-    # chunk i is done when its result or its worker's exit shows first
-    waiting = {}
+    def hand_out(i: int) -> None:
+        nonlocal claimed
+        tokens[i].send(blocks[claimed])
+        held[i].append(claimed)
+        claimed += 1
+
+    def receive(i: int) -> tuple:
+        """Helper i's next part; raises its exception, or names its death."""
+        # an exited helper's messages are whole in the pipe. The poll keeps
+        # recv from waiting on an empty pipe whose write end a process forked
+        # by another thread (a second run) inherited.
+        try:
+            if not readers[i].poll():
+                raise EOFError
+            ok, value = readers[i].recv()
+        except (EOFError, OSError):
+            lo, hi = blocks[held[i][0]][0], blocks[held[i][-1]][1]
+            raise ChildProcessError(
+                f"seed {seed}: the worker process for trials {lo}-{hi - 1} died"
+            ) from None
+        if not ok:
+            raise value
+        return value
+
     try:
-        for i, (cpus, job) in enumerate(zip(_cpu_shares(len(jobs)), jobs)):
-            reader, writer = ctx.Pipe(duplex=False)
-            readers.append(reader)
-            with writer:  # the worker holds the only write end once started
-                proc = ctx.Process(target=_pinned_chunk, args=(cpus, job, writer))
-                proc.start()
-            procs.append(proc)
-            waiting[reader] = waiting[proc.sentinel] = i
-        parts = [None] * len(jobs)
-        while waiting:
-            i = waiting[wait(list(waiting))[0]]
-            del waiting[readers[i]], waiting[procs[i].sentinel]
-            # an exited worker's result, if it sent one, is whole in the pipe.
-            # The poll keeps recv from waiting on an empty pipe whose write
-            # end a worker forked by another thread (a second run) inherited.
-            try:
-                if not readers[i].poll():
-                    raise EOFError
-                ok, value = readers[i].recv()
-            except (EOFError, OSError):
-                _, _, lo, hi = jobs[i]
-                raise ChildProcessError(
-                    f"seed {seed}: the worker process for trials {lo}-{hi - 1} died"
-                ) from None
-            if not ok:
-                raise value
-            parts[i] = value
+        if helpers:
+            ctx = get_context(_START_METHOD)
+            for i, cpus in enumerate(_cpu_shares(helpers + 1)[:helpers]):
+                queue, token = ctx.Pipe(duplex=False)
+                reader, writer = ctx.Pipe(duplex=False)
+                tokens.append(token)
+                queues.append(queue)
+                readers.append(reader)
+                held.append([])
+                for _ in range(min(2, len(blocks) - claimed)):
+                    hand_out(i)
+                # a forked helper closes its copies of the caller's ends
+                inherited = [*tokens, *queues[:i], *readers] if _START_METHOD == "fork" else []
+                with writer:  # the helper holds the only write end once started
+                    proc = ctx.Process(
+                        target=_helper, args=(cpus, cfg, seed, queue, writer, inherited)
+                    )
+                    proc.start()
+                procs.append(proc)
+        while claimed < len(blocks):
+            b = claimed
+            claimed += 1
+            parts[b] = _run_block(cfg, seed, *blocks[b])
+            for i, proc in enumerate(procs):
+                if proc.exitcode is not None:
+                    receive(i)  # raises: mid-run, a helper exits only by failing
+                if claimed < len(blocks) - 1 and not queues[i].poll():
+                    hand_out(i)
+        for token in tokens:
+            token.send(None)
+            token.close()
+        if procs:
+            # loaded here, with the helpers: sdof, single and verify never need it
+            from multiprocessing.connection import wait
+
+            # helper i is done when the parts of all its blocks have arrived
+            waiting = {}
+            for i, proc in enumerate(procs):
+                waiting[readers[i]] = waiting[proc.sentinel] = i
+            pending = [iter(blocks_held) for blocks_held in held]
+            while waiting:
+                i = waiting[wait(list(waiting))[0]]
+                b = next(pending[i])
+                parts[b] = receive(i)
+                if b == held[i][-1]:
+                    del waiting[readers[i]], waiting[procs[i].sentinel]
+            for proc in procs:
+                proc.join()
         return parts
     finally:
+        for conn in tokens + queues + readers:
+            conn.close()
         for proc in procs:
             if proc.exitcode is None:
                 proc.kill()
             proc.join()
             proc.close()
-        for reader in readers:
-            reader.close()
 
 
 def empirical_outage(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -421,15 +520,17 @@ def run_ensemble(
 
     The result is bit-identical for fixed (cfg, trials, seed, rs_grid) at any
     worker count because trial t draws from the child stream (seed, t) and
-    chunks are merged by position.
+    blocks are merged by their first trial. With workers > 1 the caller runs
+    blocks itself beside min(workers, blocks) - 1 helper processes.
 
     Raises:
         InfeasiblePowerError: if the configured budget cannot cover the
             probe-noise floor (checked once, before any trial runs).
         DegenerateChannelError: if a draw has a zero-norm response, in the
-            caller or in the worker process that ran the trial.
-        ChildProcessError: if a worker process dies before its chunk's result
-            is sent; the message names the chunk's first and last trial.
+            caller or in the helper process that ran the trial.
+        ChildProcessError: if a helper process dies before its blocks' parts
+            are sent; the message names the first trial of the first block it
+            held and the last trial of the last.
         ValueError: on a trial count outside [1, MAX_TRIALS], a negative
             seed, a worker count outside [1, MAX_WORKERS], or an unsorted or
             non-finite grid. All are checked before any trial runs.
@@ -451,16 +552,11 @@ def run_ensemble(
     reference_power(cfg, 0.0)  # an infeasible ConsumedPB budget raises here
 
     t0 = time.perf_counter()
-    bounds = [trials * i // workers for i in range(workers + 1)]
-    jobs = [(cfg, seed, a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(jobs) == 1:
-        parts = [_run_chunk(jobs[0])]
-    else:
-        # one process per non-empty chunk: with fewer trials than workers,
-        # the extra workers would have nothing to do
-        parts = _fork_join(jobs, seed)
-    cs, no, c1, c2 = (np.concatenate(col) for col in zip(*parts))
-    # baseline.conventional's c_conv and gain, formed here, not sent by workers
+    blocks = [(lo, min(lo + BLOCK_TRIALS, trials)) for lo in range(0, trials, BLOCK_TRIALS)]
+    # helpers beyond blocks - 1 would have nothing to do
+    cs, no, c1, c2, rows = zip(*_run_blocks(cfg, seed, blocks, min(workers, len(blocks)) - 1))
+    cs, no, c1, c2 = (np.concatenate(col) for col in (cs, no, c1, c2))
+    # baseline.conventional's c_conv and gain, formed here, not sent by helpers
     cc = _clamp(c1) + _clamp(c2)
     gn = cs - cc
 
@@ -475,6 +571,7 @@ def run_ensemble(
         natural_outage=no,
         c1=c1,
         c2=c2,
+        sample_rows=list(rows),
         o_steep=empirical_outage(cs, grid),
         o_conv=empirical_outage(cc, grid),
         histograms={
@@ -504,12 +601,6 @@ def gain_distribution(result: EnsembleResult) -> dict:
     }
 
 
-# one samples.csv row: %.17g reads back as the same float64, %d a flag as 0/1
-_SAMPLE_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
-# rows formatted at once: a write adds ~15 MB to peak memory at any trial count
-SAMPLE_WRITE_ROWS = 65536
-
-
 def write_outputs(result: EnsembleResult, outdir) -> dict:
     """Write samples.csv, outage.csv, histogram.csv and manifest.json.
 
@@ -523,16 +614,9 @@ def write_outputs(result: EnsembleResult, outdir) -> dict:
     (outdir / "manifest.json").unlink(missing_ok=True)
 
     samples = outdir / "samples.csv"
-    columns = (result.c_steep, result.c_conv, result.gain, result.natural_outage)
     with open(samples, "w", encoding="ascii", newline="") as f:
         f.write("trial,c_steep,c_conv,gain,natural_outage\n")
-        for lo in range(0, result.trials, SAMPLE_WRITE_ROWS):
-            rows = range(lo, min(lo + SAMPLE_WRITE_ROWS, result.trials))
-            values = [None] * (5 * len(rows))
-            values[0::5] = rows
-            for j, col in enumerate(columns, 1):
-                values[j::5] = col[lo:rows.stop].tolist()
-            f.write(_SAMPLE_ROW * len(rows) % tuple(values))
+        f.writelines(result.sample_rows)
 
     outage = outdir / "outage.csv"
     with open(outage, "w", encoding="ascii", newline="") as f:

@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -115,76 +116,95 @@ def test_seed_words_hand_out_rows_in_order():
     assert rows[1].tolist() == want.tolist()
 
 
-# the worker processes: one process and one pipe per non-empty chunk
+# the helper processes: min(workers, blocks) - 1 of them, each with one token
+# pipe and one result pipe, running blocks beside the caller
 
-class StandInProcess:
-    """Runs its target in this process at start; then it has exited."""
-
-    def __init__(self, target, args):
-        self.target, self.args = target, args
-        self.exitcode = None
-
-    def start(self):
-        self.target(*self.args)
-        self.exitcode = 0
-        # an exited process's sentinel is ready: a pipe with no writer left
-        self.sentinel, writer = os.pipe()
-        os.close(writer)
-
-    def join(self):
-        pass
-
-    def close(self):
-        os.close(self.sentinel)
+_FORKED = pytest.mark.skipif(
+    mc._START_METHOD != "fork", reason="helpers inherit the patched functions by fork"
+)
 
 
+def _log_lines(path: Path) -> list:
+    """The integer fields of each line of a log that forked helpers append to."""
+    if not path.exists():
+        return []
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+@_FORKED
 @pytest.mark.parametrize(
     "trials, workers, pool_sizes",
-    [(1, 8, []), (3, 8, [3]), (3, MAX_WORKERS, [3]), (10, 4, [4]), (600, 1, [])],
+    # one trial per block here, so trials is also the block count
+    [(1, 8, []), (3, 8, [2]), (3, MAX_WORKERS, [2]), (10, 4, [3]), (600, 1, [])],
 )
-def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, monkeypatch):
-    sizes, starts, chunks, pins = [], [], [], []
+def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, monkeypatch):
+    cfg = _cfg()
+    want = run_ensemble(cfg, trials=trials, seed=4)
+    starts, sizes, handed = [], [], []
+    blocks, pins = tmp_path / "blocks.txt", tmp_path / "pins.txt"
+    context = mc.get_context
 
     class StandInContext:
-        """Records the start method and the processes started under it."""
+        """The real context, recording its start method and every helper
+        process started under it with the CPUs handed to it."""
 
         def __init__(self, method):
-            starts.append(multiprocessing.get_context(method).get_start_method())
+            self.ctx = context(method)
+            starts.append(self.ctx.get_start_method())
             sizes.append(0)
-
-        Pipe = staticmethod(multiprocessing.Pipe)
+            self.Pipe = self.ctx.Pipe
 
         def Process(self, target, args):
             sizes[-1] += 1
-            return StandInProcess(target, args)
+            handed.append(args[0])
+            return self.ctx.Process(target=target, args=args)
+
+    def log(path, *fields):
+        with open(path, "a", encoding="ascii") as f:
+            f.write(" ".join(map(str, fields)) + "\n")
 
     def run_chunk(job):
-        chunks.append(job[2:])
+        log(blocks, os.getpid(), *job[2:])
         return _run_chunk(job)
 
+    monkeypatch.setattr(mc, "BLOCK_TRIALS", 1)
     monkeypatch.setattr(mc, "get_context", StandInContext)
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
-    # the chunks run in this process, which must never be pinned: record
-    # the CPU set each chunk asks for instead
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus), raising=False)
-    cfg = _cfg()
+    # record the CPU set each process asks for instead of pinning it
+    monkeypatch.setattr(
+        os, "sched_setaffinity", lambda pid, cpus: log(pins, os.getpid(), *cpus), raising=False
+    )
+    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     got = run_ensemble(cfg, trials=trials, seed=4, workers=workers)
     assert sizes == pool_sizes
     fork = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
     assert starts == [fork] * len(pool_sizes)
-    n_jobs = min(trials, workers)
-    assert chunks == [(trials * i // n_jobs, trials * (i + 1) // n_jobs) for i in range(n_jobs)]
-    shares = _cpu_shares(n_jobs) if pool_sizes else []
-    assert pins == [share for share in shares if share is not None]
-    want = run_ensemble(cfg, trials=trials, seed=4)
+    # every block ran once, in the caller or in a helper
+    ran = _log_lines(blocks)
+    assert sorted(lo_hi for _, *lo_hi in ran) == [[t, t + 1] for t in range(trials)]
+    # helper i gets the i-th of the caller's shares, pins itself to it and
+    # runs its blocks there; the caller pins nothing
+    helpers = sum(pool_sizes)
+    shares = _cpu_shares(helpers + 1)[:helpers]
+    assert handed == shares
+    pinned = _log_lines(pins)
+    assert sorted(cpus for _, *cpus in pinned) == sorted(s for s in shares if s is not None)
+    assert len({pid for pid, *_ in pinned}) == len(pinned)
+    assert os.getpid() not in {pid for pid, *_ in pinned}
+    assert before is None or os.sched_getaffinity(0) == before
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
+    assert "".join(got.sample_rows) == "".join(want.sample_rows)
 
 
 def test_worker_count_bounded(monkeypatch):
-    # nothing may start a worker process
+    # nothing may start a helper process
     monkeypatch.setattr(mc, "get_context", None)
     with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}"):
         run_ensemble(_cfg(), trials=10**6, seed=1, workers=MAX_WORKERS + 1)
+    # one block needs no helper at any worker count
+    got = run_ensemble(_cfg(), trials=BLOCK_TRIALS, seed=1, workers=MAX_WORKERS)
+    want = run_ensemble(_cfg(), trials=BLOCK_TRIALS, seed=1)
+    assert got.sample_rows == want.sample_rows
 
 
 def test_spawned_workers_match_one_worker(monkeypatch):
@@ -235,31 +255,43 @@ _MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 )
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
-    cfg, trials = _cfg(), 10 * workers
+    # two blocks for each process and a partial one: every helper gets two
+    # blocks before the caller claims one, so helper i runs block 2*i
+    cfg, trials = _cfg(), 2 * workers * BLOCK_TRIALS + 7
     want = run_ensemble(cfg, trials=trials, seed=2)
-    log = tmp_path / "chunks.txt"
+    log = tmp_path / "blocks.txt"
 
     def run_chunk(job):
-        # runs in a forked worker; the chunks are tiny, so one worker may
-        # take several of them, and each must be pinned on its own
+        # runs in the caller and in forked helpers, each block pinned or not
         with open(log, "a", encoding="ascii") as f:
-            f.write(" ".join(map(str, [job[2], *sorted(os.sched_getaffinity(0))])) + "\n")
+            f.write(" ".join(map(str, [os.getpid(), job[2], *sorted(os.sched_getaffinity(0))])) + "\n")
         return _run_chunk(job)
 
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
     before = os.sched_getaffinity(0)
     got = run_ensemble(cfg, trials=trials, seed=2, workers=workers)
     assert os.sched_getaffinity(0) == before
-    ran = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    ran = {lo: (pid, cpus) for pid, lo, *cpus in _log_lines(log)}
+    assert sorted(ran) == list(range(0, trials, BLOCK_TRIALS))
     shares = _cpu_shares(workers)  # checked against fixed masks above
-    assert ran == [(trials * i // workers, *share) for i, share in enumerate(shares)]
+    helper_cpus = {}
+    for i in range(workers - 1):
+        pid, cpus = ran[2 * i * BLOCK_TRIALS]
+        assert pid != os.getpid() and cpus == shares[i]
+        helper_cpus[pid] = cpus
+    assert len(helper_cpus) == workers - 1
+    # a helper would start the last block only after its current one
+    assert ran[max(ran)][0] == os.getpid()
+    for pid, cpus in ran.values():
+        assert cpus == (helper_cpus[pid] if pid != os.getpid() else sorted(before))
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
 
 @pytest.mark.parametrize("platform", ["pin fails", "no affinity masks"])
 def test_pool_workers_run_unpinned_without_a_pin(platform, monkeypatch):
-    cfg = _cfg()
-    want = run_ensemble(cfg, trials=9, seed=3)
+    # three blocks: the helper takes two, the caller one
+    cfg, trials = _cfg(), 2 * BLOCK_TRIALS + 9
+    want = run_ensemble(cfg, trials=trials, seed=3)
     if platform == "pin fails":
         def refuse(*args):
             raise OSError(22, "Invalid argument")
@@ -268,13 +300,14 @@ def test_pool_workers_run_unpinned_without_a_pin(platform, monkeypatch):
     else:
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    got = run_ensemble(cfg, trials=9, seed=3, workers=2)
+    got = run_ensemble(cfg, trials=trials, seed=3, workers=2)
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
 
-# a worker that dies, as under the OOM killer, fails the run at once. The run
-# goes in a child interpreter, so that a pool that waits for the dead worker
-# fails this test by its timeout instead of hanging the suite.
+# a helper that dies, as under the OOM killer, fails the run at once. The run
+# goes in a child interpreter, so that a caller that waits for the dead helper
+# fails this test by its timeout instead of hanging the suite. 600 trials are
+# two blocks, and the one helper of a 2-worker run is handed both.
 _DYING_WORKER = """
 import os, signal, sys, time
 import steepsim.mc as mc
@@ -303,7 +336,7 @@ else:
 """
 
 
-@pytest.mark.skipif(mc._START_METHOD != "fork", reason="workers inherit the dying chunk by fork")
+@pytest.mark.skipif(mc._START_METHOD != "fork", reason="helpers inherit the dying chunk by fork")
 @pytest.mark.parametrize("entry", ["api", "cli"])
 def test_dead_worker_fails_the_run(entry, tmp_path):
     out = tmp_path / "out"
@@ -322,21 +355,83 @@ def test_dead_worker_fails_the_run(entry, tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
         elapsed, message = proc.stdout.split(" ", 1)
         assert float(elapsed) < 10.0
-        assert message == "seed 9: the worker process for trials 300-599 died\n"
+        assert message == "seed 9: the worker process for trials 0-599 died\n"
     else:
         assert proc.returncode == 2
-        assert proc.stderr == "error: seed 9: the worker process for trials 300-599 died\n"
+        assert proc.stderr == "error: seed 9: the worker process for trials 0-599 died\n"
         assert proc.stdout == ""
         assert not out.exists()
 
 
-# a worker's exception crosses its pipe and is raised again in the caller
+# a caller that dies closes its token pipes: its helpers read EOF, find no
+# reader for their parts and exit
+_KILLED_CALLER = """
+import os, sys
+import steepsim.mc as mc
+from steepsim.channel import SystemConfig
 
-_ZERO_TRIAL = 450  # in the second chunk of 600 trials on 2 workers
+run_chunk = mc._run_chunk
+
+
+def reporting_chunk(job):
+    print(os.getpid(), flush=True)
+    return run_chunk(job)
+
+
+mc._run_chunk = reporting_chunk
+cfg = SystemConfig(n_A=4, n_E=6, P_A_dB=20.0, P_B_dB=30.0)
+mc.run_ensemble(cfg, trials=200_000, seed=9, workers=2)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid names a running process; a zombie nobody reaps has exited."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    mc._START_METHOD != "fork" or not os.path.isdir("/proc/self"),
+    reason="helpers inherit the reporting chunk by fork; process states from /proc",
+)
+def test_killed_caller_leaves_no_helper():
+    env = dict(os.environ, PYTHONPATH=str(Path(mc.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_CALLER], stdout=subprocess.PIPE, text=True, env=env
+    )
+    helpers = set()
+    try:
+        # the caller and its helper each report every block they start; the
+        # pipe stays open, so a helper's report cannot fail
+        for line in proc.stdout:
+            if int(line) != proc.pid:
+                helpers.add(int(line))
+                break
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert helpers, "the run ended before its helper ran a block"
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, helpers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, helpers))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, helpers):
+            os.kill(pid, signal.SIGKILL)
+        proc.stdout.close()
+
+
+# a helper's exception crosses its pipe and is raised again in the caller
+
+_ZERO_TRIAL = 450  # run by the helper, which takes both blocks of 600 trials on 2 workers
 
 
 def _zero_one_trial(monkeypatch):
-    """Make trial _ZERO_TRIAL's draw all zeros, wherever its chunk runs."""
+    """Make trial _ZERO_TRIAL's draw all zeros, wherever its block runs."""
     child_normals = _child_normals
 
     def zeroed(seed, start, stop, width):
@@ -349,9 +444,6 @@ def _zero_one_trial(monkeypatch):
 
 
 _ZERO_MESSAGE = f"trial {_ZERO_TRIAL} of seed 9: degenerate draw: h_BA has zero norm"
-_FORKED = pytest.mark.skipif(
-    mc._START_METHOD != "fork", reason="workers inherit the patched draw by fork"
-)
 
 
 @_FORKED
@@ -631,5 +723,8 @@ def test_samples_writer_matches_row_by_row_formatter(tmp_path):
         c_steep=np.concatenate([special, res.c_steep[special.size:]]),
         gain=np.concatenate([-special, res.gain[special.size:]]),
     )
-    write_outputs(res, tmp_path)
+    # rows of trials 0-199 and 200-299, formatted as two blocks would be
+    cols = (res.c_steep, res.c_conv, res.gain, res.natural_outage)
+    rows = [mc._sample_rows(lo, *(col[lo:hi] for col in cols)) for lo, hi in ((0, 200), (200, 300))]
+    write_outputs(dataclasses.replace(res, sample_rows=rows), tmp_path)
     assert (tmp_path / "samples.csv").read_text(encoding="ascii") == _reference_samples_csv(res)

@@ -215,14 +215,17 @@ def test_written_samples_identical_across_worker_counts(tmp_path, small_ensemble
     assert (d1 / "outage.csv").read_bytes() == (d2 / "outage.csv").read_bytes()
 
 
-# 2000 trials in blocks of 7 (a 5-row last block), 500 (no partial block)
-# and 1999 (a 1-row last block), against one unblocked write
-@pytest.mark.parametrize("rows", [7, 500, 1999])
-def test_samples_identical_across_write_blocks(rows, tmp_path, small_ensemble, monkeypatch):
-    monkeypatch.setattr(mc, "SAMPLE_WRITE_ROWS", small_ensemble.trials)
-    write_outputs(small_ensemble, tmp_path / "whole")
-    monkeypatch.setattr(mc, "SAMPLE_WRITE_ROWS", rows)
-    write_outputs(small_ensemble, tmp_path / "blocks")
-    whole = (tmp_path / "whole" / "samples.csv").read_bytes()
-    assert (tmp_path / "blocks" / "samples.csv").read_bytes() == whole
-    assert whole.count(b"\n") == small_ensemble.trials + 1
+# rows formatted where each block ran: 1031 trials are two full blocks and a
+# partial one, run by the caller alone, by the caller and one helper, or by
+# the caller and two helpers
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sample_rows_follow_the_row_format(workers, tmp_path):
+    trials = 2 * mc.BLOCK_TRIALS + 7
+    res = run_ensemble(_cfg(n_E=6, P_B_dB=20.0), trials=trials, seed=3, workers=workers)
+    write_outputs(res, tmp_path)
+    lines = (tmp_path / "samples.csv").read_text(encoding="ascii").splitlines(keepends=True)
+    assert lines[0] == "trial,c_steep,c_conv,gain,natural_outage\n"
+    assert len(lines) == trials + 1
+    for t, line in enumerate(lines[1:]):
+        row = (t, res.c_steep[t], res.c_conv[t], res.gain[t], res.natural_outage[t])
+        assert line == mc._SAMPLE_ROW % row, f"trial {t}"
