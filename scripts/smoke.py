@@ -14,7 +14,8 @@ checks, in order:
   on 3, and the three runs' samples.csv, outage.csv and histogram.csv are
   byte-identical. n_E < n_A takes beta's n_E-sized route. 1031 trials are
   three blocks: on 2 workers the caller runs one beside one pinned helper
-  process, and on 3 workers two helpers share the hand-out;
+  process, which runs two, and on 3 workers the caller and two helpers run
+  one each;
 - the verify and the 2-worker ensemble, rerun with MALLOC_PERTURB_=165 in
   their environment, exit 0 with the same verify stdout and the same CSV
   bytes. glibc then fills memory that malloc hands out, and memory freed,

@@ -77,8 +77,13 @@ _START_METHOD = "fork" if sys.platform == "linux" else None
 
 @dataclass
 class EnsembleResult:
-    """Aggregate of one ensemble run; per-trial arrays are indexed by trial,
-    and sample_rows holds samples.csv's rows, one string per block."""
+    """Aggregate of one ensemble run; per-trial arrays are indexed by trial.
+
+    sample_rows holds samples.csv's rows, one string per block, as the blocks
+    formatted them. write_outputs writes these rows, not the columns; only a
+    result that holds none, such as one built by hand, has its rows formatted
+    from c_steep, c_conv, gain and natural_outage.
+    """
 
     cfg: SystemConfig
     trials: int
@@ -90,11 +95,11 @@ class EnsembleResult:
     natural_outage: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    sample_rows: list
     o_steep: np.ndarray
     o_conv: np.ndarray
     histograms: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    sample_rows: list = field(default_factory=list, repr=False, compare=False)
 
 
 # numpy's SeedSequence (pool of 4 uint32 words) hashing constants. They do
@@ -392,16 +397,17 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> lis
     """_run_block's part for each (lo, hi) of blocks, in block order.
 
     The caller claims blocks in order and runs them itself, beside `helpers`
-    helper processes. Each helper has one pipe for its tokens and one for its
-    parts, and its share of the CPUs. It gets two blocks before the caller
-    claims one; after each of its own blocks the caller hands one more to
-    every helper whose token pipe is empty, so a helper holds at most two,
-    but keeps the last block, which a helper could start only after its
-    current one. When no block is left, the caller ends each token pipe with
-    None and closes it; a caller that dies closes them too, and its helpers
-    read EOF and exit. A helper that exits while the caller still runs
-    blocks has failed. Every pipe is read before any helper is joined: a
-    helper blocked on a full pipe never exits.
+    helper processes, helpers <= len(blocks) - 1. Each helper has one pipe for
+    its tokens and one for its parts, and its share of the CPUs. Every helper
+    gets one block as it starts, and then a second while more than one block
+    is left, so the caller always runs at least one. After each of its own
+    blocks the caller hands one more to every helper whose token pipe is
+    empty, so a helper holds at most two, but keeps the last block, which a
+    helper could start only after its current one. When no block is left,
+    the caller ends each token pipe with None and closes it; a caller that
+    dies closes them too, and its helpers read EOF and exit. A helper that
+    exits while the caller still runs blocks has failed. Every pipe is read
+    before any helper is joined: a helper blocked on a full pipe never exits.
     """
     parts = [None] * len(blocks)
     claimed = 0
@@ -444,8 +450,7 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> lis
                 queues.append(queue)
                 readers.append(reader)
                 held.append([])
-                for _ in range(min(2, len(blocks) - claimed)):
-                    hand_out(i)
+                hand_out(i)  # helpers <= blocks - 1: one each, one left
                 # a forked helper closes its copies of the caller's ends
                 inherited = [*tokens, *queues[:i], *readers] if _START_METHOD == "fork" else []
                 with writer:  # the helper holds the only write end once started
@@ -454,6 +459,10 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> lis
                     )
                     proc.start()
                 procs.append(proc)
+            # a second block for each helper while more than one is left
+            for i in range(helpers):
+                if claimed < len(blocks) - 1:
+                    hand_out(i)
         while claimed < len(blocks):
             b = claimed
             claimed += 1
@@ -605,9 +614,13 @@ def write_outputs(result: EnsembleResult, outdir) -> dict:
     """Write samples.csv, outage.csv, histogram.csv and manifest.json.
 
     Floats are written with 17 significant digits so runs reproduce
-    bit-exactly. Returns the manifest as written; its "config" holds every
-    SystemConfig field plus the grid. An old manifest.json goes first, so a
-    failed write leaves no manifest beside CSVs it does not describe.
+    bit-exactly. samples.csv holds result.sample_rows as run_ensemble's blocks
+    formatted them, not rows formed from the columns: a result changed with
+    dataclasses.replace keeps its old rows unless they are replaced too. A
+    result with no rows gets them from its columns. Returns the manifest as
+    written; its "config" holds every SystemConfig field plus the grid. An
+    old manifest.json goes first, so a failed write leaves no manifest beside
+    CSVs it does not describe.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -616,7 +629,8 @@ def write_outputs(result: EnsembleResult, outdir) -> dict:
     samples = outdir / "samples.csv"
     with open(samples, "w", encoding="ascii", newline="") as f:
         f.write("trial,c_steep,c_conv,gain,natural_outage\n")
-        f.writelines(result.sample_rows)
+        cols = (result.c_steep, result.c_conv, result.gain, result.natural_outage)
+        f.writelines(result.sample_rows or [_sample_rows(0, *cols)])
 
     outage = outdir / "outage.csv"
     with open(outage, "w", encoding="ascii", newline="") as f:

@@ -135,7 +135,10 @@ def _log_lines(path: Path) -> list:
 @pytest.mark.parametrize(
     "trials, workers, pool_sizes",
     # one trial per block here, so trials is also the block count
-    [(1, 8, []), (3, 8, [2]), (3, MAX_WORKERS, [2]), (10, 4, [3]), (600, 1, [])],
+    [
+        (1, 8, []), (3, 8, [2]), (3, MAX_WORKERS, [2]), (10, 4, [3]), (600, 1, []),
+        (4, 4, [3]), (5, 8, [4]), (12, 8, [7]),
+    ],
 )
 def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, monkeypatch):
     cfg = _cfg()
@@ -179,12 +182,15 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
     assert sizes == pool_sizes
     fork = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
     assert starts == [fork] * len(pool_sizes)
-    # every block ran once, in the caller or in a helper
+    # every block ran once, in the caller or in a helper, and every process
+    # ran at least one
     ran = _log_lines(blocks)
     assert sorted(lo_hi for _, *lo_hi in ran) == [[t, t + 1] for t in range(trials)]
+    helpers = sum(pool_sizes)
+    assert os.getpid() in {pid for pid, *_ in ran}
+    assert len({pid for pid, *_ in ran}) == helpers + 1
     # helper i gets the i-th of the caller's shares, pins itself to it and
     # runs its blocks there; the caller pins nothing
-    helpers = sum(pool_sizes)
     shares = _cpu_shares(helpers + 1)[:helpers]
     assert handed == shares
     pinned = _log_lines(pins)
@@ -208,18 +214,24 @@ def test_worker_count_bounded(monkeypatch):
 
 
 def test_spawned_workers_match_one_worker(monkeypatch):
-    # macOS and Windows start workers this way: a fresh interpreter that
-    # imports steepsim and gets its chunk and pipe end pickled
+    # macOS and Windows start helpers this way: a fresh interpreter that
+    # imports steepsim and gets its blocks and pipe ends pickled
     cfg = _cfg(n_A=16, n_E=8)
     want = run_ensemble(cfg, trials=700, seed=5)
     monkeypatch.setattr(mc, "_START_METHOD", "spawn")
+    run_chunk, caller, ran_here = _run_chunk, os.getpid(), []
 
     def forked_chunk(job):
-        raise AssertionError("a forked worker ran this process's _run_chunk")
+        if os.getpid() != caller:
+            raise AssertionError("a forked helper ran this process's _run_chunk")
+        ran_here.append(job[2])
+        return run_chunk(job)
 
-    # a spawned worker imports steepsim.mc afresh and never sees this patch
+    # a spawned helper imports steepsim.mc afresh and never sees this patch
     monkeypatch.setattr(mc, "_run_chunk", forked_chunk)
     got = run_ensemble(cfg, trials=700, seed=5, workers=2)
+    # two blocks: the helper runs the first, the caller the second
+    assert ran_here == [BLOCK_TRIALS]
     for name in ("c_steep", "c1", "c2"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -255,8 +267,8 @@ _MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 )
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
-    # two blocks for each process and a partial one: every helper gets two
-    # blocks before the caller claims one, so helper i runs block 2*i
+    # two blocks for each process and a partial one: every helper gets one
+    # block as it starts, so helper i runs block i
     cfg, trials = _cfg(), 2 * workers * BLOCK_TRIALS + 7
     want = run_ensemble(cfg, trials=trials, seed=2)
     log = tmp_path / "blocks.txt"
@@ -276,7 +288,7 @@ def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
     shares = _cpu_shares(workers)  # checked against fixed masks above
     helper_cpus = {}
     for i in range(workers - 1):
-        pid, cpus = ran[2 * i * BLOCK_TRIALS]
+        pid, cpus = ran[i * BLOCK_TRIALS]
         assert pid != os.getpid() and cpus == shares[i]
         helper_cpus[pid] = cpus
     assert len(helper_cpus) == workers - 1
@@ -306,8 +318,9 @@ def test_pool_workers_run_unpinned_without_a_pin(platform, monkeypatch):
 
 # a helper that dies, as under the OOM killer, fails the run at once. The run
 # goes in a child interpreter, so that a caller that waits for the dead helper
-# fails this test by its timeout instead of hanging the suite. 600 trials are
-# two blocks, and the one helper of a 2-worker run is handed both.
+# fails this test by its timeout instead of hanging the suite. 1100 trials are
+# three blocks: the one helper of a 2-worker run is handed the first two, and
+# dies as it starts the first; the caller runs the third.
 _DYING_WORKER = """
 import os, signal, sys, time
 import steepsim.mc as mc
@@ -315,10 +328,11 @@ from steepsim.channel import SystemConfig
 from steepsim.cli import main
 
 run_chunk = mc._run_chunk
+caller = os.getpid()
 
 
 def dying_chunk(job):
-    if job[2] > 0:
+    if os.getpid() != caller:
         os.kill(os.getpid(), signal.SIGKILL)
     return run_chunk(job)
 
@@ -328,7 +342,7 @@ if sys.argv[1] == "api":
     cfg = SystemConfig(n_A=4, n_E=6, P_A_dB=20.0, P_B_dB=30.0)
     t0 = time.monotonic()
     try:
-        mc.run_ensemble(cfg, trials=600, seed=9, workers=2)
+        mc.run_ensemble(cfg, trials=1100, seed=9, workers=2)
     except ChildProcessError as exc:
         print(time.monotonic() - t0, exc)
 else:
@@ -343,7 +357,7 @@ def test_dead_worker_fails_the_run(entry, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_A = 4\nn_E = 6\nP_A_dB = 20\nP_B_dB = 30\n")
     argv = ["api"] if entry == "api" else [
-        "ensemble", "--config", str(cfg), "--trials", "600", "--seed", "9",
+        "ensemble", "--config", str(cfg), "--trials", "1100", "--seed", "9",
         "--workers", "2", "--out", str(out),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(mc.__file__).parents[1]))
@@ -355,10 +369,10 @@ def test_dead_worker_fails_the_run(entry, tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
         elapsed, message = proc.stdout.split(" ", 1)
         assert float(elapsed) < 10.0
-        assert message == "seed 9: the worker process for trials 0-599 died\n"
+        assert message == "seed 9: the worker process for trials 0-1023 died\n"
     else:
         assert proc.returncode == 2
-        assert proc.stderr == "error: seed 9: the worker process for trials 0-599 died\n"
+        assert proc.stderr == "error: seed 9: the worker process for trials 0-1023 died\n"
         assert proc.stdout == ""
         assert not out.exists()
 
@@ -427,7 +441,7 @@ def test_killed_caller_leaves_no_helper():
 
 # a helper's exception crosses its pipe and is raised again in the caller
 
-_ZERO_TRIAL = 450  # run by the helper, which takes both blocks of 600 trials on 2 workers
+_ZERO_TRIAL = 450  # in block 0 of 600 trials, which the helper of a 2-worker run takes
 
 
 def _zero_one_trial(monkeypatch):
@@ -499,10 +513,10 @@ def test_nothing_left_behind(ending, monkeypatch):
             return ends
 
     if ending == "killed worker":
-        run_chunk = _run_chunk
+        run_chunk, caller = _run_chunk, os.getpid()
 
         def dying_chunk(job):
-            if job[2] > 0:
+            if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             return run_chunk(job)
 
@@ -726,5 +740,9 @@ def test_samples_writer_matches_row_by_row_formatter(tmp_path):
     # rows of trials 0-199 and 200-299, formatted as two blocks would be
     cols = (res.c_steep, res.c_conv, res.gain, res.natural_outage)
     rows = [mc._sample_rows(lo, *(col[lo:hi] for col in cols)) for lo, hi in ((0, 200), (200, 300))]
-    write_outputs(dataclasses.replace(res, sample_rows=rows), tmp_path)
-    assert (tmp_path / "samples.csv").read_text(encoding="ascii") == _reference_samples_csv(res)
+    write_outputs(dataclasses.replace(res, sample_rows=rows), tmp_path / "rows")
+    # a result holding no rows has them formatted from its columns
+    write_outputs(dataclasses.replace(res, sample_rows=[]), tmp_path / "cols")
+    for out in ("rows", "cols"):
+        written = (tmp_path / out / "samples.csv").read_text(encoding="ascii")
+        assert written == _reference_samples_csv(res), out
