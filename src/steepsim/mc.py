@@ -22,18 +22,19 @@ _run_chunk's linops.keep_block_memory call, each block reuses the heap the
 last freed.
 
 With w workers, the caller starts w - 1 helper processes (forked on Linux),
-never more than blocks - 1, and runs the same block loop as they do. Blocks
-are handed out on demand through one token pipe per helper, with no lock
-(see _run_blocks). Every block, wherever it runs, goes through _run_chunk
-and formats its samples.csv rows on the spot (_run_block). A helper first
-pins itself to its share of the parent's CPU affinity mask (see
-_cpu_shares). Left to the kernel, both workers of a 2-worker run on a 2-CPU
-machine were seen to share one CPU for the whole run, which made the run
-slower than one worker. The caller's own mask never changes, and a helper
-that cannot pin itself runs unpinned. A helper's exception is raised again
-in the caller, and a helper that dies before its parts are sent fails the
-run at once, naming the trials of the blocks it held. numpy.random is
-imported with this module, so every forked helper starts with it loaded.
+never more than blocks - 1, and runs blocks itself beside them. Each helper
+has one pipe, with no lock: the caller sends block bounds on it, and the
+helper sends each block's part back as soon as the block is done (see
+_run_blocks). Every block, wherever it runs, is one _run_chunk call, which
+also formats the block's samples.csv rows. A helper first pins itself to its
+share of the parent's CPU affinity mask (see _cpu_shares). Left to the
+kernel, both workers of a 2-worker run on a 2-CPU machine were seen to share
+one CPU for the whole run, which made the run slower than one worker. The
+caller's own mask never changes, and a helper that cannot pin itself runs
+unpinned. A helper's exception is raised again in the caller, and a helper
+that exits owing parts fails the run at once, naming the trials of the
+blocks it owes. numpy.random is imported with this module, so every forked
+helper starts with it loaded.
 """
 from __future__ import annotations
 
@@ -306,17 +307,6 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     return cs, diff <= 0.0, c1, c2
 
 
-def _run_chunk(args) -> tuple:
-    keep_block_memory()
-    cfg, seed, start, stop = args
-    width = _normals_per_trial(cfg)
-    blocks = [
-        _analyze_block(cfg, _child_normals(seed, lo, min(lo + BLOCK_TRIALS, stop), width), seed, lo)
-        for lo in range(start, stop, BLOCK_TRIALS)
-    ]
-    return tuple(np.concatenate(col) for col in zip(*blocks))
-
-
 def _cpu_shares(n: int) -> list:
     """CPU sets for n processes, split from this process's affinity mask.
 
@@ -347,154 +337,147 @@ def _sample_rows(lo: int, *columns: np.ndarray) -> str:
     return _SAMPLE_ROW * n % tuple(values)
 
 
-def _run_block(cfg: SystemConfig, seed: int, lo: int, hi: int) -> tuple:
-    """Trials lo..hi-1: _run_chunk's columns and their samples.csv rows.
+def _run_chunk(args) -> tuple:
+    """One block, trials lo..hi-1 of args = (cfg, seed, lo, hi).
 
-    _run_chunk is read from the module here, in whichever process runs the
-    block. The rows take c_conv and gain elementwise as
-    baseline.conventional forms them.
+    Returns _analyze_block's four columns and the block's samples.csv rows,
+    which take c_conv and gain elementwise as baseline.conventional forms
+    them. Every block runs here, in the caller or in a helper.
     """
-    cs, no, c1, c2 = _run_chunk((cfg, seed, lo, hi))
+    keep_block_memory()
+    cfg, seed, lo, hi = args
+    z = _child_normals(seed, lo, hi, _normals_per_trial(cfg))
+    cs, no, c1, c2 = _analyze_block(cfg, z, seed, lo)
     cc = _clamp(c1) + _clamp(c2)
     return cs, no, c1, c2, _sample_rows(lo, cs, cc, cs - cc, no)
 
 
-def _helper(cpus, cfg: SystemConfig, seed: int, tokens, results, inherited) -> None:
-    """Helper process body: run each block whose bounds arrive on tokens.
+def _helper(cpus, cfg: SystemConfig, seed: int, conn, inherited) -> None:
+    """Helper process body: run each block whose bounds arrive on conn.
 
     inherited holds the caller's pipe ends that a forked helper got copies
-    of; with them closed, the helper reads EOF, and finds no reader, once
-    the caller is gone. At the None token the helper sends each block's part
-    as (True, part), in the order the tokens came. At EOF it sends nothing.
-    An exception is sent at once as (False, exception) and ends the helper.
+    of; with them closed, the helper reads EOF, or finds no reader, once the
+    caller is gone, and exits. Each block's part goes back on conn as
+    (True, part) as soon as the block is done. An exception goes back as
+    (False, exception) and ends the helper, and so does a None for bounds.
     Only helpers pin themselves, so the caller's mask never changes; a
     failed pin leaves the helper unpinned.
     """
-    for conn in inherited:
-        conn.close()
+    for end in inherited:
+        end.close()
     if cpus is not None:
         try:
             os.sched_setaffinity(0, cpus)
         except OSError:
             pass
-    messages = []
-    with tokens, results:
+    with conn:
         try:
-            for lo, hi in iter(tokens.recv, None):
-                messages.append((True, _run_block(cfg, seed, lo, hi)))
-        except EOFError:
-            return  # the caller is gone, or has failed and reads no part
+            for lo, hi in iter(conn.recv, None):
+                conn.send((True, _run_chunk((cfg, seed, lo, hi))))
+        except (EOFError, OSError):
+            pass  # the caller is gone, or has failed and reads no part
         except Exception as exc:
-            messages = [(False, exc)]
-        try:
-            for message in messages:
-                results.send(message)
-        except BrokenPipeError:
-            pass  # the caller is gone
+            try:
+                conn.send((False, exc))
+            except OSError:
+                pass
 
 
 def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> list:
-    """_run_block's part for each (lo, hi) of blocks, in block order.
+    """_run_chunk's part for each (lo, hi) of blocks, in block order.
 
     The caller claims blocks in order and runs them itself, beside `helpers`
-    helper processes, helpers <= len(blocks) - 1. Each helper has one pipe for
-    its tokens and one for its parts, and its share of the CPUs. Every helper
-    gets one block as it starts, and then a second while more than one block
-    is left, so the caller always runs at least one. After each of its own
-    blocks the caller hands one more to every helper whose token pipe is
-    empty, so a helper holds at most two, but keeps the last block, which a
-    helper could start only after its current one. When no block is left,
-    the caller ends each token pipe with None and closes it; a caller that
-    dies closes them too, and its helpers read EOF and exit. A helper that
-    exits while the caller still runs blocks has failed. Every pipe is read
-    before any helper is joined: a helper blocked on a full pipe never exits.
+    helper processes, helpers <= len(blocks) - 1, each with one duplex pipe
+    and its share of the CPUs. On its pipe a helper gets the bounds of its
+    blocks and sends back each part as soon as the block is done. Every
+    helper gets one block as it starts. Before each of its own blocks the
+    caller takes the parts that have arrived and tops every helper up to two
+    owed blocks, the one it runs and one queued, but keeps the last block,
+    which a helper could start only after its current one. Once that block
+    is all that is left, the caller sends every helper None, so the helpers
+    exit while it runs the block, and then waits for the parts still owed.
+    A helper that exits owing parts has failed. A caller that dies closes
+    its pipe ends, and its helpers read EOF and exit.
     """
     parts = [None] * len(blocks)
     claimed = 0
-    # per helper: its process, the caller's ends of its token pipe (the
-    # write end, and a read end polled for a queued token), the read end of
-    # its result pipe and the blocks handed to it
-    procs, tokens, queues, readers, held = [], [], [], [], []
+    # per helper: its process, the caller's end of its pipe and the blocks
+    # handed to it whose parts have not arrived, oldest first
+    procs, conns, owed = [], [], []
+
+    def send(i: int, bounds) -> None:
+        try:
+            conns[i].send(bounds)
+        except OSError:
+            pass  # helper i has exited: collect(i) finds out why
 
     def hand_out(i: int) -> None:
         nonlocal claimed
-        tokens[i].send(blocks[claimed])
-        held[i].append(claimed)
+        owed[i].append(claimed)
+        send(i, blocks[claimed])
         claimed += 1
 
-    def receive(i: int) -> tuple:
-        """Helper i's next part; raises its exception, or names its death."""
+    def died(i: int) -> ChildProcessError:
+        lo, hi = blocks[owed[i][0]][0], blocks[owed[i][-1]][1]
+        return ChildProcessError(f"seed {seed}: the worker process for trials {lo}-{hi - 1} died")
+
+    def collect(i: int) -> None:
+        """Take helper i's parts that have arrived; raise its exception, or
+        name its death if it has exited owing parts."""
         # an exited helper's messages are whole in the pipe. The poll keeps
-        # recv from waiting on an empty pipe whose write end a process forked
+        # recv from waiting on an empty pipe whose other end a process forked
         # by another thread (a second run) inherited.
-        try:
-            if not readers[i].poll():
-                raise EOFError
-            ok, value = readers[i].recv()
-        except (EOFError, OSError):
-            lo, hi = blocks[held[i][0]][0], blocks[held[i][-1]][1]
-            raise ChildProcessError(
-                f"seed {seed}: the worker process for trials {lo}-{hi - 1} died"
-            ) from None
-        if not ok:
-            raise value
-        return value
+        exited = procs[i].exitcode is not None
+        while owed[i]:
+            try:
+                if not conns[i].poll():
+                    break
+                ok, value = conns[i].recv()
+            except (EOFError, OSError):
+                raise died(i) from None
+            if not ok:
+                raise value
+            parts[owed[i].pop(0)] = value
+        if exited and owed[i]:
+            raise died(i)
 
     try:
         if helpers:
             ctx = get_context(_START_METHOD)
             for i, cpus in enumerate(_cpu_shares(helpers + 1)[:helpers]):
-                queue, token = ctx.Pipe(duplex=False)
-                reader, writer = ctx.Pipe(duplex=False)
-                tokens.append(token)
-                queues.append(queue)
-                readers.append(reader)
-                held.append([])
+                conn, child = ctx.Pipe()
+                conns.append(conn)
+                owed.append([])
                 hand_out(i)  # helpers <= blocks - 1: one each, one left
                 # a forked helper closes its copies of the caller's ends
-                inherited = [*tokens, *queues[:i], *readers] if _START_METHOD == "fork" else []
-                with writer:  # the helper holds the only write end once started
-                    proc = ctx.Process(
-                        target=_helper, args=(cpus, cfg, seed, queue, writer, inherited)
-                    )
+                inherited = conns[:] if _START_METHOD == "fork" else []
+                with child:  # the helper holds the only other end once started
+                    proc = ctx.Process(target=_helper, args=(cpus, cfg, seed, child, inherited))
                     proc.start()
                 procs.append(proc)
-            # a second block for each helper while more than one is left
-            for i in range(helpers):
-                if claimed < len(blocks) - 1:
-                    hand_out(i)
         while claimed < len(blocks):
+            for i in range(helpers):
+                collect(i)
+                while len(owed[i]) < 2 and claimed < len(blocks) - 1:
+                    hand_out(i)
+            if claimed == len(blocks) - 1:
+                for i in range(helpers):
+                    send(i, None)  # the last block is the caller's
             b = claimed
             claimed += 1
-            parts[b] = _run_block(cfg, seed, *blocks[b])
-            for i, proc in enumerate(procs):
-                if proc.exitcode is not None:
-                    receive(i)  # raises: mid-run, a helper exits only by failing
-                if claimed < len(blocks) - 1 and not queues[i].poll():
-                    hand_out(i)
-        for token in tokens:
-            token.send(None)
-            token.close()
-        if procs:
+            parts[b] = _run_chunk((cfg, seed, *blocks[b]))
+        while any(owed):
             # loaded here, with the helpers: sdof, single and verify never need it
             from multiprocessing.connection import wait
 
-            # helper i is done when the parts of all its blocks have arrived
-            waiting = {}
-            for i, proc in enumerate(procs):
-                waiting[readers[i]] = waiting[proc.sentinel] = i
-            pending = [iter(blocks_held) for blocks_held in held]
-            while waiting:
-                i = waiting[wait(list(waiting))[0]]
-                b = next(pending[i])
-                parts[b] = receive(i)
-                if b == held[i][-1]:
-                    del waiting[readers[i]], waiting[procs[i].sentinel]
-            for proc in procs:
-                proc.join()
+            wait([end for i in range(helpers) if owed[i] for end in (conns[i], procs[i].sentinel)])
+            for i in range(helpers):
+                collect(i)
         return parts
     finally:
-        for conn in tokens + queues + readers:
+        # a helper still running has been sent None after its last block, or
+        # belongs to a failed run
+        for conn in conns:
             conn.close()
         for proc in procs:
             if proc.exitcode is None:
@@ -537,9 +520,9 @@ def run_ensemble(
             probe-noise floor (checked once, before any trial runs).
         DegenerateChannelError: if a draw has a zero-norm response, in the
             caller or in the helper process that ran the trial.
-        ChildProcessError: if a helper process dies before its blocks' parts
-            are sent; the message names the first trial of the first block it
-            held and the last trial of the last.
+        ChildProcessError: if a helper process exits before it has sent the
+            parts of every block handed to it; the message names the first
+            trial of the first block it owes and the last trial of the last.
         ValueError: on a trial count outside [1, MAX_TRIALS], a negative
             seed, a worker count outside [1, MAX_WORKERS], or an unsorted or
             non-finite grid. All are checked before any trial runs.
