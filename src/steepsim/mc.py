@@ -22,19 +22,20 @@ _run_chunk's linops.keep_block_memory call, each block reuses the heap the
 last freed.
 
 With w workers, the caller starts w - 1 helper processes (forked on Linux),
-never more than blocks - 1, and runs blocks itself beside them. Each helper
-has one pipe, with no lock: the caller sends block bounds on it, and the
-helper sends each block's part back as soon as the block is done (see
-_run_blocks). Every block, wherever it runs, is one _run_chunk call, which
-also formats the block's samples.csv rows. A helper first pins itself to its
-share of the parent's CPU affinity mask (see _cpu_shares). Left to the
-kernel, both workers of a 2-worker run on a 2-CPU machine were seen to share
-one CPU for the whole run, which made the run slower than one worker. The
-caller's own mask never changes, and a helper that cannot pin itself runs
-unpinned. A helper's exception is raised again in the caller, and a helper
-that exits owing parts fails the run at once, naming the trials of the
-blocks it owes. numpy.random is imported with this module, so every forked
-helper starts with it loaded.
+never more than blocks - 1, and runs blocks itself beside them. Block b runs
+in process b mod p, p = helpers + 1, the caller being process p - 1: each
+helper gets its blocks as it starts and sends each block's part back on a
+one-way pipe as soon as the block is done (see _run_blocks). Every block,
+wherever it runs, is one _run_chunk call, which also formats the block's
+samples.csv rows. A helper first pins itself to its share of the parent's
+CPU affinity mask (see _cpu_shares). Left to the kernel, both workers of a
+2-worker run on a 2-CPU machine were seen to share one CPU for the whole
+run, which made the run slower than one worker. The caller's own mask never
+changes, and a helper that cannot pin itself runs unpinned. A helper's
+exception is raised again in the caller, and a helper that exits owing parts
+fails the run at once, naming the trials of the block it was running.
+numpy.random is imported with this module, so every forked helper starts
+with it loaded.
 """
 from __future__ import annotations
 
@@ -337,31 +338,29 @@ def _sample_rows(lo: int, *columns: np.ndarray) -> str:
     return _SAMPLE_ROW * n % tuple(values)
 
 
-def _run_chunk(args) -> tuple:
-    """One block, trials lo..hi-1 of args = (cfg, seed, lo, hi).
+def _run_chunk(cfg: SystemConfig, seed: int, lo: int, hi: int) -> tuple:
+    """One block, trials lo..hi-1.
 
     Returns _analyze_block's four columns and the block's samples.csv rows,
     which take c_conv and gain elementwise as baseline.conventional forms
     them. Every block runs here, in the caller or in a helper.
     """
     keep_block_memory()
-    cfg, seed, lo, hi = args
     z = _child_normals(seed, lo, hi, _normals_per_trial(cfg))
     cs, no, c1, c2 = _analyze_block(cfg, z, seed, lo)
     cc = _clamp(c1) + _clamp(c2)
     return cs, no, c1, c2, _sample_rows(lo, cs, cc, cs - cc, no)
 
 
-def _helper(cpus, cfg: SystemConfig, seed: int, conn, inherited) -> None:
-    """Helper process body: run each block whose bounds arrive on conn.
+def _helper(cpus, cfg: SystemConfig, seed: int, blocks: list, conn, inherited) -> None:
+    """Helper process body: run each (lo, hi) of blocks in order.
 
     inherited holds the caller's pipe ends that a forked helper got copies
-    of; with them closed, the helper reads EOF, or finds no reader, once the
-    caller is gone, and exits. Each block's part goes back on conn as
-    (True, part) as soon as the block is done. An exception goes back as
-    (False, exception) and ends the helper, and so does a None for bounds.
-    Only helpers pin themselves, so the caller's mask never changes; a
-    failed pin leaves the helper unpinned.
+    of; with them closed, the helper finds no reader for a part once the
+    caller is gone, and exits. Each block's part goes out on conn as
+    (True, part) as soon as the block is done. An exception goes out as
+    (False, exception) and ends the helper. Only helpers pin themselves, so
+    the caller's mask never changes; a failed pin leaves the helper unpinned.
     """
     for end in inherited:
         end.close()
@@ -372,9 +371,9 @@ def _helper(cpus, cfg: SystemConfig, seed: int, conn, inherited) -> None:
             pass
     with conn:
         try:
-            for lo, hi in iter(conn.recv, None):
-                conn.send((True, _run_chunk((cfg, seed, lo, hi))))
-        except (EOFError, OSError):
+            for lo, hi in blocks:
+                conn.send((True, _run_chunk(cfg, seed, lo, hi)))
+        except OSError:
             pass  # the caller is gone, or has failed and reads no part
         except Exception as exc:
             try:
@@ -386,39 +385,24 @@ def _helper(cpus, cfg: SystemConfig, seed: int, conn, inherited) -> None:
 def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> list:
     """_run_chunk's part for each (lo, hi) of blocks, in block order.
 
-    The caller claims blocks in order and runs them itself, beside `helpers`
-    helper processes, helpers <= len(blocks) - 1, each with one duplex pipe
-    and its share of the CPUs. On its pipe a helper gets the bounds of its
-    blocks and sends back each part as soon as the block is done. Every
-    helper gets one block as it starts. Before each of its own blocks the
-    caller takes the parts that have arrived and tops every helper up to two
-    owed blocks, the one it runs and one queued, but keeps the last block,
-    which a helper could start only after its current one. Once that block
-    is all that is left, the caller sends every helper None, so the helpers
-    exit while it runs the block, and then waits for the parts still owed.
-    A helper that exits owing parts has failed. A caller that dies closes
-    its pipe ends, and its helpers read EOF and exit.
+    With p = helpers + 1 processes, helpers <= len(blocks) - 1, block b runs
+    in process b mod p: helper i, with its share of the CPUs, runs blocks
+    i, i + p, ..., and the caller, process p - 1, runs the rest. A helper
+    gets its blocks as it starts and sends each part back on a one-way pipe
+    as soon as the block is done. A pipe holds about one part, so before
+    each of its own blocks the caller takes the parts that have arrived;
+    then it waits for the parts still owed. A helper that exits owing parts
+    has failed. A caller that dies closes its pipe ends, and its helpers
+    find no reader for their next part and exit.
     """
+    p = helpers + 1
     parts = [None] * len(blocks)
-    claimed = 0
-    # per helper: its process, the caller's end of its pipe and the blocks
-    # handed to it whose parts have not arrived, oldest first
+    # per helper: its process, the caller's end of its pipe and its blocks
+    # whose parts have not arrived, oldest first
     procs, conns, owed = [], [], []
 
-    def send(i: int, bounds) -> None:
-        try:
-            conns[i].send(bounds)
-        except OSError:
-            pass  # helper i has exited: collect(i) finds out why
-
-    def hand_out(i: int) -> None:
-        nonlocal claimed
-        owed[i].append(claimed)
-        send(i, blocks[claimed])
-        claimed += 1
-
     def died(i: int) -> ChildProcessError:
-        lo, hi = blocks[owed[i][0]][0], blocks[owed[i][-1]][1]
+        lo, hi = blocks[owed[i][0]]  # the block helper i was running
         return ChildProcessError(f"seed {seed}: the worker process for trials {lo}-{hi - 1} died")
 
     def collect(i: int) -> None:
@@ -444,28 +428,21 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> lis
     try:
         if helpers:
             ctx = get_context(_START_METHOD)
-            for i, cpus in enumerate(_cpu_shares(helpers + 1)[:helpers]):
-                conn, child = ctx.Pipe()
+            for i, cpus in enumerate(_cpu_shares(p)[:helpers]):
+                conn, child = ctx.Pipe(duplex=False)
                 conns.append(conn)
-                owed.append([])
-                hand_out(i)  # helpers <= blocks - 1: one each, one left
+                owed.append(list(range(i, len(blocks), p)))
                 # a forked helper closes its copies of the caller's ends
                 inherited = conns[:] if _START_METHOD == "fork" else []
+                args = (cpus, cfg, seed, blocks[i::p], child, inherited)
                 with child:  # the helper holds the only other end once started
-                    proc = ctx.Process(target=_helper, args=(cpus, cfg, seed, child, inherited))
+                    proc = ctx.Process(target=_helper, args=args)
                     proc.start()
                 procs.append(proc)
-        while claimed < len(blocks):
+        for b in range(helpers, len(blocks), p):
             for i in range(helpers):
                 collect(i)
-                while len(owed[i]) < 2 and claimed < len(blocks) - 1:
-                    hand_out(i)
-            if claimed == len(blocks) - 1:
-                for i in range(helpers):
-                    send(i, None)  # the last block is the caller's
-            b = claimed
-            claimed += 1
-            parts[b] = _run_chunk((cfg, seed, *blocks[b]))
+            parts[b] = _run_chunk(cfg, seed, *blocks[b])
         while any(owed):
             # loaded here, with the helpers: sdof, single and verify never need it
             from multiprocessing.connection import wait
@@ -475,8 +452,7 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> lis
                 collect(i)
         return parts
     finally:
-        # a helper still running has been sent None after its last block, or
-        # belongs to a failed run
+        # a helper still running belongs to a failed run
         for conn in conns:
             conn.close()
         for proc in procs:
@@ -521,8 +497,8 @@ def run_ensemble(
         DegenerateChannelError: if a draw has a zero-norm response, in the
             caller or in the helper process that ran the trial.
         ChildProcessError: if a helper process exits before it has sent the
-            parts of every block handed to it; the message names the first
-            trial of the first block it owes and the last trial of the last.
+            parts of all its blocks; the message names the first and last
+            trial of the block it was running, the first it owes.
         ValueError: on a trial count outside [1, MAX_TRIALS], a negative
             seed, a worker count outside [1, MAX_WORKERS], or an unsorted or
             non-finite grid. All are checked before any trial runs.

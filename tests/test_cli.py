@@ -692,8 +692,8 @@ _glibc_only = pytest.mark.skipif(
 def test_run_chunk_keeps_block_memory(cfg, bound):
     # one warm block, then 16 measured blocks
     faults = _minor_faults(
-        f"from steepsim import mc\nmc._run_chunk(({cfg}, 1, 0, 512))",
-        f"for lo in range(512, 8704, 512):\n    mc._run_chunk(({cfg}, 1, lo, lo + 512))",
+        f"from steepsim import mc\nmc._run_chunk({cfg}, 1, 0, 512)",
+        f"for lo in range(512, 8704, 512):\n    mc._run_chunk({cfg}, 1, lo, lo + 512)",
     )
     assert faults < bound
 

@@ -116,8 +116,9 @@ def test_seed_words_hand_out_rows_in_order():
     assert rows[1].tolist() == want.tolist()
 
 
-# the helper processes: min(workers, blocks) - 1 of them, each with one pipe
-# for its block bounds and its parts, running blocks beside the caller
+# the helper processes: min(workers, blocks) - 1 of them, each running a
+# fixed stride of blocks beside the caller and sending back its parts on a
+# one-way pipe
 
 _FORKED = pytest.mark.skipif(
     mc._START_METHOD != "fork", reason="helpers inherit the patched functions by fork"
@@ -166,9 +167,9 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
         with open(path, "a", encoding="ascii") as f:
             f.write(" ".join(map(str, fields)) + "\n")
 
-    def run_chunk(job):
-        log(blocks, os.getpid(), *job[2:])
-        return _run_chunk(job)
+    def run_chunk(cfg, seed, lo, hi):
+        log(blocks, os.getpid(), lo, hi)
+        return _run_chunk(cfg, seed, lo, hi)
 
     monkeypatch.setattr(mc, "BLOCK_TRIALS", 1)
     monkeypatch.setattr(mc, "get_context", StandInContext)
@@ -221,11 +222,11 @@ def test_spawned_workers_match_one_worker(monkeypatch):
     monkeypatch.setattr(mc, "_START_METHOD", "spawn")
     run_chunk, caller, ran_here = _run_chunk, os.getpid(), []
 
-    def forked_chunk(job):
+    def forked_chunk(cfg, seed, lo, hi):
         if os.getpid() != caller:
             raise AssertionError("a forked helper ran this process's _run_chunk")
-        ran_here.append(job[2])
-        return run_chunk(job)
+        ran_here.append(lo)
+        return run_chunk(cfg, seed, lo, hi)
 
     # a spawned helper imports steepsim.mc afresh and never sees this patch
     monkeypatch.setattr(mc, "_run_chunk", forked_chunk)
@@ -267,17 +268,18 @@ _MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 )
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
-    # two blocks for each process and a partial one: every helper gets one
-    # block as it starts, so helper i runs block i
+    # two blocks for each process and a partial one. Block b runs in process
+    # b mod workers, and the caller is the last process, so helper 0 also
+    # runs the partial block
     cfg, trials = _cfg(), 2 * workers * BLOCK_TRIALS + 7
     want = run_ensemble(cfg, trials=trials, seed=2)
     log = tmp_path / "blocks.txt"
 
-    def run_chunk(job):
+    def run_chunk(cfg, seed, lo, hi):
         # runs in the caller and in forked helpers, each block pinned or not
         with open(log, "a", encoding="ascii") as f:
-            f.write(" ".join(map(str, [os.getpid(), job[2], *sorted(os.sched_getaffinity(0))])) + "\n")
-        return _run_chunk(job)
+            f.write(" ".join(map(str, [os.getpid(), lo, *sorted(os.sched_getaffinity(0))])) + "\n")
+        return _run_chunk(cfg, seed, lo, hi)
 
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
     before = os.sched_getaffinity(0)
@@ -285,17 +287,14 @@ def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
     assert os.sched_getaffinity(0) == before
     ran = {lo: (pid, cpus) for pid, lo, *cpus in _log_lines(log)}
     assert sorted(ran) == list(range(0, trials, BLOCK_TRIALS))
-    shares = _cpu_shares(workers)  # checked against fixed masks above
-    helper_cpus = {}
-    for i in range(workers - 1):
-        pid, cpus = ran[i * BLOCK_TRIALS]
-        assert pid != os.getpid() and cpus == shares[i]
-        helper_cpus[pid] = cpus
-    assert len(helper_cpus) == workers - 1
-    # a helper would start the last block only after its current one
-    assert ran[max(ran)][0] == os.getpid()
-    for pid, cpus in ran.values():
-        assert cpus == (helper_cpus[pid] if pid != os.getpid() else sorted(before))
+    pids = [ran[i * BLOCK_TRIALS][0] for i in range(workers)]
+    assert pids[-1] == os.getpid() and len(set(pids)) == workers
+    # helper i runs on the i-th share, checked against fixed masks above;
+    # the caller pins nothing
+    shares = _cpu_shares(workers)[: workers - 1] + [sorted(before)]
+    for lo, (pid, cpus) in ran.items():
+        i = lo // BLOCK_TRIALS % workers
+        assert (pid, cpus) == (pids[i], shares[i]), f"block at trial {lo}"
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
 
@@ -319,8 +318,8 @@ def test_pool_workers_run_unpinned_without_a_pin(platform, monkeypatch):
 # a helper that dies, as under the OOM killer, fails the run at once. The run
 # goes in a child interpreter, so that a caller that waits for the dead helper
 # fails this test by its timeout instead of hanging the suite. 1100 trials are
-# three blocks: the one helper of a 2-worker run is handed the first two, and
-# dies as it starts the first; the caller runs the third.
+# three blocks: the one helper of a 2-worker run runs the first and the third,
+# and dies as it starts the first; the caller runs the second.
 _DYING_WORKER = """
 import os, signal, sys, time
 import steepsim.mc as mc
@@ -331,10 +330,10 @@ run_chunk = mc._run_chunk
 caller = os.getpid()
 
 
-def dying_chunk(job):
+def dying_chunk(*block):
     if os.getpid() != caller:
         os.kill(os.getpid(), signal.SIGKILL)
-    return run_chunk(job)
+    return run_chunk(*block)
 
 
 mc._run_chunk = dying_chunk
@@ -369,16 +368,16 @@ def test_dead_worker_fails_the_run(entry, tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
         elapsed, message = proc.stdout.split(" ", 1)
         assert float(elapsed) < 10.0
-        assert message == "seed 9: the worker process for trials 0-1023 died\n"
+        assert message == "seed 9: the worker process for trials 0-511 died\n"
     else:
         assert proc.returncode == 2
-        assert proc.stderr == "error: seed 9: the worker process for trials 0-1023 died\n"
+        assert proc.stderr == "error: seed 9: the worker process for trials 0-511 died\n"
         assert proc.stdout == ""
         assert not out.exists()
 
 
-# a caller that dies closes its pipe ends: its helpers read EOF, or find no
-# reader for their parts, and exit
+# a caller that dies closes its pipe ends: its helpers find no reader for
+# their parts, and exit
 _KILLED_CALLER = """
 import os, sys
 import steepsim.mc as mc
@@ -387,9 +386,9 @@ from steepsim.channel import SystemConfig
 run_chunk = mc._run_chunk
 
 
-def reporting_chunk(job):
+def reporting_chunk(*block):
     print(os.getpid(), flush=True)
-    return run_chunk(job)
+    return run_chunk(*block)
 
 
 mc._run_chunk = reporting_chunk
@@ -437,38 +436,6 @@ def test_killed_caller_leaves_no_helper():
         for pid in filter(_alive, helpers):
             os.kill(pid, signal.SIGKILL)
         proc.stdout.close()
-
-
-# once the caller's own last block is all that is left, every helper is sent
-# None, so the helpers exit while the caller runs that block
-
-@pytest.mark.skipif(
-    mc._START_METHOD != "fork" or not os.path.isdir("/proc/self"),
-    reason="helpers inherit the logging chunk by fork; process states from /proc",
-)
-def test_helpers_exit_while_the_caller_runs_its_last_block(tmp_path, monkeypatch):
-    # six blocks on 3 workers: each helper runs two, the caller the last two
-    cfg, trials, workers = _cfg(), 5 * BLOCK_TRIALS + 7, 3
-    want = run_ensemble(cfg, trials=trials, seed=6)
-    log, caller, gone = tmp_path / "helpers.txt", os.getpid(), []
-
-    def run_chunk(job):
-        if os.getpid() != caller:
-            with open(log, "a", encoding="ascii") as f:
-                f.write(f"{os.getpid()}\n")
-        elif job[3] == trials:
-            deadline = time.monotonic() + 5.0
-            while not gone and time.monotonic() < deadline:
-                helpers = {pid for pid, in _log_lines(log)}
-                if len(helpers) == workers - 1 and not any(map(_alive, helpers)):
-                    gone.append(helpers)
-                time.sleep(0.01)
-        return _run_chunk(job)
-
-    monkeypatch.setattr(mc, "_run_chunk", run_chunk)
-    got = run_ensemble(cfg, trials=trials, seed=6, workers=workers)
-    assert gone, "a helper still ran when the caller started its last block"
-    assert "".join(got.sample_rows) == "".join(want.sample_rows)
 
 
 # a helper sends each block's part as soon as the block is done, so its peak
@@ -575,10 +542,10 @@ def test_nothing_left_behind(ending, monkeypatch):
     if ending == "killed worker":
         run_chunk, caller = _run_chunk, os.getpid()
 
-        def dying_chunk(job):
+        def dying_chunk(*block):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return run_chunk(job)
+            return run_chunk(*block)
 
         monkeypatch.setattr(mc, "_run_chunk", dying_chunk)
         expected = ChildProcessError
@@ -619,7 +586,7 @@ def test_engine_matches_scalar_api(n_A, n_E, convention, gamma, P_A_dB, P_B_dB, 
     )
     # an infeasible budget is rejected before any trial runs
     assume(convention is PowerConvention.REFERENCE_PB_PRIME or cfg.P_B > n_A / cfg.P_A)
-    got = _run_chunk((cfg, seed, start, start + count))
+    got = _run_chunk(cfg, seed, start, start + count)
     for i in range(count):
         want = reference_trial(cfg, seed, start + i)
         cs, flag, c1, c2 = (col[i] for col in got[:4])
