@@ -15,7 +15,8 @@ checks, in order:
   byte-identical. n_E < n_A takes beta's n_E-sized route. 1031 trials are
   three blocks: on 2 workers the caller runs one beside one pinned helper
   process, which runs two, and on 3 workers the caller and two helpers run
-  one each;
+  one each, where the affinity mask has 3 CPUs or more (helpers are capped
+  at its CPUs less one, so on 2 CPUs the 3-worker run is the 2-worker one);
 - the verify and the 2-worker ensemble, rerun with MALLOC_PERTURB_=165 in
   their environment, exit 0 with the same verify stdout and the same CSV
   bytes. glibc then fills memory that malloc hands out, and memory freed,

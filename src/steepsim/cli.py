@@ -241,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", parents=[run], help="run a Monte Carlo ensemble")
     p.add_argument("--trials", type=int, help="default: the config's trials, else 100000")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="processes that run blocks, the caller included (default 1); capped at the "
+        "CPUs of the affinity mask and at the 512-trial blocks",
+    )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ensemble)
 

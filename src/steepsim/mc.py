@@ -9,36 +9,40 @@ natural-outage frequency.
 Trials are evaluated in blocks of BLOCK_TRIALS. A block draws one row of
 normals per trial, split by linops.cn_parts in sample_realization's order,
 then evaluates steep.c_steep and baseline.conventional over a trial axis.
-The child streams are numpy's own: the block hashes SeedSequence([seed, t])
-for all its trials at once, and np.random.PCG64 seeds each stream from those
-words in C, exactly as default_rng([seed, t]) would. Each trial's beta is
-one batched Cholesky factorization of steep.beta's bordered matrix: the
-(n_A+1)-square primal one when n_A <= n_E, and the (n_E+1)-square Woodbury
-one, with beta = ||h_BA||^2 - q, when n_A > n_E. Both have a Schur
-complement of 1 + beta >= 1, so neither factorization can fail.
+The child streams are numpy's own, drawn by one PCG64 per block: the block
+hashes SeedSequence([seed, t]) for all its trials at once, takes each
+trial's seeded PCG64 state from those words in numpy arithmetic, and writes
+it into the generator's raw state before the trial's row is drawn, so each
+row equals default_rng([seed, t])'s draw. Each trial's beta is one batched
+Cholesky factorization of steep.beta's bordered matrix: the (n_A+1)-square
+primal one when n_A <= n_E, and the (n_E+1)-square Woodbury one, with
+beta = ||h_BA||^2 - q, when n_A > n_E. Both have a Schur complement of
+1 + beta >= 1, so neither factorization can fail.
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
 the scalar API, so every float equals the scalar result bit for bit. After
 _run_chunk's linops.keep_block_memory call, each block reuses the heap the
 last freed.
 
 With w workers, the caller starts w - 1 helper processes (forked on Linux),
-never more than blocks - 1, and runs blocks itself beside them. Block b runs
-in process b mod p, p = helpers + 1, the caller being process p - 1: each
-helper gets its blocks as it starts and sends each block's part back on a
-one-way pipe as soon as the block is done (see _run_blocks). Every block,
-wherever it runs, is one _run_chunk call, which also formats the block's
-samples.csv rows. A helper first pins itself to its share of the parent's
-CPU affinity mask (see _cpu_shares). Left to the kernel, both workers of a
-2-worker run on a 2-CPU machine were seen to share one CPU for the whole
-run, which made the run slower than one worker. The caller's own mask never
-changes, and a helper that cannot pin itself runs unpinned. A helper's
-exception is raised again in the caller, and a helper that exits owing parts
-fails the run at once, naming the trials of the block it was running.
+never more than blocks - 1 or the affinity mask's CPUs - 1, and runs blocks
+itself beside them. Block b runs in process b mod p, p = helpers + 1, the
+caller being process p - 1: each helper gets its blocks as it starts and
+sends each block's part back on a one-way pipe as soon as the block is done
+(see _run_blocks). Every block, wherever it runs, is one _run_chunk call,
+which also formats the block's samples.csv rows. A helper first pins
+itself to its share of the parent's CPU affinity mask (see _cpu_shares).
+Left to the kernel, both workers of a 2-worker run on a 2-CPU machine were
+seen to share one CPU for the whole run, which made the run slower than one
+worker. The caller's own mask never changes, and a helper that cannot pin
+itself runs unpinned. A helper's exception is raised again in the caller,
+and a helper that exits owing parts fails the run at once, naming the
+trials of the block it was running.
 numpy.random is imported with this module, so every forked helper starts
 with it loaded.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -50,7 +54,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, PCG64
-from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .channel import SystemConfig, reference_power
@@ -68,9 +71,9 @@ BLOCK_TRIALS = 512
 # largest trial count: every trial index fits one 32-bit seed word, and the
 # per-trial arrays of such a run already take about 180 GB
 MAX_TRIALS = 2**32
-# most workers: each beyond the caller is a forked copy of it, and workers
-# beyond the CPUs of the affinity mask share a CPU and only add start-up cost;
-# the bound keeps a mistyped count from forking thousands of processes
+# most workers: each beyond the caller is a forked copy of it. run_ensemble
+# starts no more processes than the affinity mask has CPUs; where a platform
+# has no masks, the bound keeps a mistyped count from forking thousands
 MAX_WORKERS = 256
 # helpers fork on Linux, inheriting the loaded modules; elsewhere they start
 # the platform's default way: macOS deems fork unsafe and Windows has none
@@ -125,11 +128,24 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
-    value = value ^ np.uint32(hash_const)
-    hash_const = (hash_const * _MULT_A) & _MASK32
-    value = value * np.uint32(hash_const)
-    return value ^ (value >> _XSHIFT), hash_const
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) constants of count successive hashmix calls,
+    each a uint32 column: call k xors with h_k and multiplies by h_(k+1),
+    where h_0 = init and h_(k+1) = h_k*mult mod 2**32."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h[:-1], dtype=np.uint32)[:, None], np.array(h[1:], dtype=np.uint32)[:, None]
+
+
+# SeedSequence.generate_state's 8 calls
+_STATE_XOR, _STATE_MULT = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of xor and mult."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,66 +157,124 @@ def _pcg64_states(seed: int, ts: np.ndarray) -> np.ndarray:
     """Row i is SeedSequence([seed, ts[i]]).generate_state(4, np.uint64).
 
     Those 4 words are what PCG64 seeds its state and increment from; ts holds
-    uint32 trial indices.
+    uint32 trial indices. Each pool word is a row of a (4, len(ts)) array,
+    and the hashmix calls that SeedSequence makes one after another on
+    independent words run as one array operation.
     """
-    n = ts.shape[0]
-    entropy = [np.full(n, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy = [np.uint32(w) for w in _uint32_words(seed)]
     entropy.append(ts)
+    extra = entropy[_POOL_SIZE:]
+    xor, mult = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * len(extra))
     # SeedSequence.mix_entropy; a missing entropy word hashes as 0
-    hash_const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        word = entropy[i] if i < len(entropy) else np.zeros(n, dtype=np.uint32)
-        word, hash_const = _hashmix(word, hash_const)
-        pool.append(word)
+    pool = np.zeros((_POOL_SIZE, ts.shape[0]), dtype=np.uint32)
+    for i, word in enumerate(entropy[:_POOL_SIZE]):
+        pool[i] = word
+    pool = _hashmix(pool, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    k = _POOL_SIZE
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                word, hash_const = _hashmix(pool[i_src], hash_const)
-                pool[i_dst] = _mix(pool[i_dst], word)
-    for i_src in range(_POOL_SIZE, len(entropy)):
-        for i_dst in range(_POOL_SIZE):
-            word, hash_const = _hashmix(entropy[i_src], hash_const)
-            pool[i_dst] = _mix(pool[i_dst], word)
-    # SeedSequence.generate_state(4, uint64): 8 uint32 words, which numpy
-    # pairs little-endian on every platform
-    hash_const = _INIT_B
-    words = np.empty((n, 8), dtype=np.uint32)
-    for i in range(8):
-        word = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        word = word * np.uint32(hash_const)
-        words[:, i] = word ^ (word >> _XSHIFT)
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+        dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        words = _hashmix(pool[i_src], xor[k : k + len(dst)], mult[k : k + len(dst)])
+        pool[dst] = _mix(pool[dst], words)
+        k += len(dst)
+    for word in extra:
+        pool = _mix(pool, _hashmix(word, xor[k : k + _POOL_SIZE], mult[k : k + _POOL_SIZE]))
+        k += _POOL_SIZE
+    # SeedSequence.generate_state(4, uint64): 8 uint32 words from the pool
+    # words in turn, which numpy pairs little-endian on every platform
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT)
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-class SeedWords(ISeedSequence):
-    """Rows of _pcg64_states, handed out one per generate_state call.
+# PCG64's LCG multiplier, numpy's PCG_DEFAULT_MULTIPLIER_128
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_LIMB, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+_ONE, _SHIFT63 = np.uint64(1), np.uint64(63)
 
-    PCG64(seq) asks seq once, for 4 uint64 words, and seeds itself from them
-    in C. Any other request raises rather than hand out wrong words.
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of each 128-bit product a*b, from 32-bit limbs."""
+    a0, a1 = a & _LIMB, a >> _SHIFT32
+    b0, b1 = b & _LIMB, b >> _SHIFT32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> _SHIFT32) + (p01 & _LIMB) + (p10 & _LIMB)
+    return p11 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+
+
+def _pcg64_seeded(words: np.ndarray) -> np.ndarray:
+    """PCG64's state after seeding from each row of _pcg64_states.
+
+    Columns: the high and low halves of the 128-bit state, then of inc.
+    PCG64 reads a row as (s_hi, s_lo, i_hi, i_lo) and seeds as numpy's
+    pcg64_set_seed does: inc = 2*initseq + 1 and
+    state = (inc + initstate)*MULT + inc, mod 2**128, on uint64 halves.
     """
+    s_hi, s_lo, i_hi, i_lo = words.T
+    inc_hi = (i_hi << _ONE) | (i_lo >> _SHIFT63)
+    inc_lo = (i_lo << _ONE) | _ONE
+    a_lo = inc_lo + s_lo
+    a_hi = inc_hi + s_hi + (a_lo < s_lo)
+    p_hi = _mulhi(a_lo, _MULT_LO) + a_lo * _MULT_HI + a_hi * _MULT_LO
+    st_lo = a_lo * _MULT_LO + inc_lo
+    st_hi = p_hi + inc_hi + (st_lo < inc_lo)
+    return np.column_stack([st_hi, st_lo, inc_hi, inc_lo])
 
-    def __init__(self, rows: np.ndarray):
-        self._rows = iter(rows)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 passes the type np.uint64, which skips building a dtype
-        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-            raise ValueError(f"seed words serve 4 uint64 words, not {n_words} of {dtype}")
-        return next(self._rows)
+def _raw_state(bg: PCG64) -> np.ndarray:
+    """The 4 uint64 words of bg's pcg64_random_t, as a writable view.
+
+    bg.ctypes.state_address holds the address of numpy's pcg64_state, whose
+    first member points at the (state, inc) pair. The view is valid while bg
+    lives.
+    """
+    ptr = ctypes.c_void_p.from_address(bg.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(ptr), dtype=np.uint64)
+
+
+def _word_order() -> list:
+    """Where each word of pcg64_random_t comes from among _pcg64_seeded's
+    columns: gcc and clang store each 128-bit half low word first, MSVC's
+    emulated struct high word first. Found by a write through the public
+    state setter, never assumed."""
+    halves = [0x0123456789ABCDEF, 0x1122334455667788, 0x99AABBCCDDEEFF01, 0x2233445566778899]
+    bg = PCG64(0)
+    bg.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": halves[0] << 64 | halves[1], "inc": halves[2] << 64 | halves[3]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    raw = _raw_state(bg).tolist()
+    if sorted(raw) != sorted(halves):
+        raise ImportError(
+            f"numpy {np.__version__}: PCG64's raw state does not hold its 128-bit state and "
+            f"increment as four 64-bit halves"
+        )
+    return [halves.index(w) for w in raw]
+
+
+# _pcg64_seeded's columns in the order of pcg64_random_t's words
+_WORD_ORDER = _word_order()
 
 
 def _child_normals(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     """Row t - start holds default_rng([seed, t]).standard_normal(width).
 
-    Trial indices stay below MAX_TRIALS, so each is one 32-bit seed word.
+    One PCG64 serves the block: before each row, its raw state is set to the
+    one PCG64(SeedSequence([seed, t])) starts from. The generator is fresh
+    and only draws normals, which never buffer a 32-bit word, so the state
+    is all of it. Trial indices stay below MAX_TRIALS, so each is one 32-bit
+    seed word.
     """
     out = np.empty((stop - start, width))
     ts = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
-    seeds = SeedWords(_pcg64_states(seed, ts))
-    for row in out:
-        Generator(PCG64(seeds)).standard_normal(out=row)
+    states = _pcg64_seeded(_pcg64_states(seed, ts))[:, _WORD_ORDER]
+    bg = PCG64(0)
+    raw = _raw_state(bg)
+    normal = Generator(bg).standard_normal
+    for row, state in zip(out, states):
+        raw[:] = state
+        normal(out=row)
     return out
 
 
@@ -309,18 +383,20 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
 
 
 def _cpu_shares(n: int) -> list:
-    """CPU sets for n processes, split from this process's affinity mask.
+    """CPU sets for at most n processes, split from this process's affinity
+    mask: one share per process to start, never more than the mask's CPUs.
 
-    Share i holds every n-th CPU of the mask from the (i mod size)-th on:
-    with n at most the mask's size the scheduler still chooses among several
-    CPUs on a large machine, and beyond it the shares are single CPUs in
-    turn. A platform without affinity masks gets None for every share.
+    With m = min(n, size of the mask), share i holds every m-th CPU of the
+    mask from the i-th on, so the scheduler still chooses among several CPUs
+    on a large machine. A platform without affinity masks gets n shares of
+    None.
     """
     try:
         cpus = sorted(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return [None] * n
-    return [cpus[i % len(cpus)::n] for i in range(n)]
+    m = min(n, len(cpus))
+    return [cpus[i::m] for i in range(m)]
 
 
 # one samples.csv row: %.17g reads back as the same float64, %d a flag as 0/1
@@ -382,12 +458,12 @@ def _helper(cpus, cfg: SystemConfig, seed: int, blocks: list, conn, inherited) -
                 pass
 
 
-def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> list:
+def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list) -> list:
     """_run_chunk's part for each (lo, hi) of blocks, in block order.
 
-    With p = helpers + 1 processes, helpers <= len(blocks) - 1, block b runs
-    in process b mod p: helper i, with its share of the CPUs, runs blocks
-    i, i + p, ..., and the caller, process p - 1, runs the rest. A helper
+    With p = len(shares) <= len(blocks) processes, block b runs in process
+    b mod p: helper i, pinned to shares[i], runs blocks i, i + p, ..., and
+    the caller, process p - 1, runs the rest; its share goes unused. A helper
     gets its blocks as it starts and sends each part back on a one-way pipe
     as soon as the block is done. A pipe holds about one part, so before
     each of its own blocks the caller takes the parts that have arrived;
@@ -395,7 +471,8 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> lis
     has failed. A caller that dies closes its pipe ends, and its helpers
     find no reader for their next part and exit.
     """
-    p = helpers + 1
+    p = len(shares)
+    helpers = p - 1
     parts = [None] * len(blocks)
     # per helper: its process, the caller's end of its pipe and its blocks
     # whose parts have not arrived, oldest first
@@ -428,7 +505,7 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, helpers: int) -> lis
     try:
         if helpers:
             ctx = get_context(_START_METHOD)
-            for i, cpus in enumerate(_cpu_shares(p)[:helpers]):
+            for i, cpus in enumerate(shares[:helpers]):
                 conn, child = ctx.Pipe(duplex=False)
                 conns.append(conn)
                 owed.append(list(range(i, len(blocks), p)))
@@ -489,7 +566,9 @@ def run_ensemble(
     The result is bit-identical for fixed (cfg, trials, seed, rs_grid) at any
     worker count because trial t draws from the child stream (seed, t) and
     blocks are merged by their first trial. With workers > 1 the caller runs
-    blocks itself beside min(workers, blocks) - 1 helper processes.
+    blocks itself beside min(workers, blocks, CPUs) - 1 helper processes,
+    where CPUs counts the affinity mask's CPUs; a platform without masks
+    sets no such cap.
 
     Raises:
         InfeasiblePowerError: if the configured budget cannot cover the
@@ -521,8 +600,10 @@ def run_ensemble(
 
     t0 = time.perf_counter()
     blocks = [(lo, min(lo + BLOCK_TRIALS, trials)) for lo in range(0, trials, BLOCK_TRIALS)]
-    # helpers beyond blocks - 1 would have nothing to do
-    cs, no, c1, c2, rows = zip(*_run_blocks(cfg, seed, blocks, min(workers, len(blocks)) - 1))
+    # helpers beyond blocks - 1 would have nothing to do, and beyond the
+    # mask's CPUs - 1 would share a CPU that a fixed stride cannot relieve
+    shares = _cpu_shares(min(workers, len(blocks)))
+    cs, no, c1, c2, rows = zip(*_run_blocks(cfg, seed, blocks, shares))
     cs, no, c1, c2 = (np.concatenate(col) for col in (cs, no, c1, c2))
     # baseline.conventional's c_conv and gain, formed here, not sent by helpers
     cc = _clamp(c1) + _clamp(c2)

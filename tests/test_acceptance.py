@@ -24,6 +24,7 @@ from steepsim.steep import (
     mmse_estimator,
     natural_outage_condition,
 )
+from exact import c1_outage, c2_outage
 from oracles import beta_via_eig
 
 SEED = 7
@@ -54,6 +55,31 @@ def quad_ensembles():
             )
     runs["elapsed"] = time.perf_counter() - t0
     return runs
+
+
+
+def test_exact_baseline_direction_outages():
+    # I_x(4, n_E) against the values taken with scipy's incomplete beta,
+    # rounded to 6 decimals
+    for n_e, c1, c2 in ((6, 0.746094, 0.895244), (2, 0.187500, 0.328781)):
+        cfg = _cfg(n_E=n_e)
+        assert abs(c1_outage(cfg) - c1) <= 1e-6
+        assert abs(c2_outage(cfg) - c2) <= 1e-6
+
+
+def test_baseline_direction_outages_meet_exact(quad_ensembles):
+    # the frequencies of c1 <= 0 and c2 <= 0 within 4 binomial standard
+    # errors of their exact probabilities, at every P_B
+    worst = 0.0
+    for n_e in (2, 6):
+        for p_b in (20.0, 30.0):
+            res = quad_ensembles[(n_e, p_b)]
+            for name, exact in (("c1", c1_outage(res.cfg)), ("c2", c2_outage(res.cfg))):
+                freq = float(np.mean(getattr(res, name) <= 0.0))
+                dev = abs(freq - exact) / math.sqrt(exact * (1.0 - exact) / TRIALS)
+                worst = max(worst, dev)
+                assert dev <= 4.0, f"n_E={n_e}, P_B={p_b} dB: {name} <= 0 at {freq} vs {exact}"
+    _report("baseline directions vs exact", worst <= 4.0, f"worst {worst:.2f} se of 4")
 
 
 @pytest.fixture(scope="module")

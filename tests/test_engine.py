@@ -34,7 +34,6 @@ import steepsim.mc as mc
 from steepsim.mc import (
     BLOCK_TRIALS,
     MAX_WORKERS,
-    SeedWords,
     _analyze_block,
     _beta,
     _child_normals,
@@ -42,7 +41,9 @@ from steepsim.mc import (
     _log2_ratio,
     _norm2,
     _normals_per_trial,
+    _pcg64_seeded,
     _pcg64_states,
+    _raw_state,
     _run_chunk,
     run_ensemble,
     write_outputs,
@@ -76,53 +77,81 @@ def reference_trial(cfg: SystemConfig, seed: int, t: int) -> tuple:
 # 2**96 + 5 and 2**200 + 11 are 4 and 7 words, so the trial index is the
 # 5th or the 8th entropy word: beyond SeedSequence's 4-word pool, it goes
 # through the loop that mixes the extra words in
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**200 + 11])
-@pytest.mark.parametrize(
+_SEEDS = pytest.mark.parametrize(
+    "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**200 + 11]
+)
+_TRIAL_RANGES = pytest.mark.parametrize(
     "start, stop",
     [
         (0, 3),
         (BLOCK_TRIALS - 2, BLOCK_TRIALS + 2),  # block boundary
         (343, 345),  # chunk boundary of 1031 trials on 3 workers
         (2**32 - 3, 2**32),  # the largest trial indices, below MAX_TRIALS
+        (0, BLOCK_TRIALS),  # one whole block
     ],
 )
+
+
+@_SEEDS
+@_TRIAL_RANGES
 def test_child_normals_match_default_rng(seed, start, stop):
-    width = 68
-    got = _child_normals(seed, start, stop, width)
-    want = np.array(
-        [np.random.default_rng([seed, t]).standard_normal(width) for t in range(start, stop)]
-    )
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # 76 and 336 are the n4e6 and n16e8 rows of the benchmark's workloads
+    for width in (68, 76, 336):
+        got = _child_normals(seed, start, stop, width)
+        want = np.array(
+            [np.random.default_rng([seed, t]).standard_normal(width) for t in range(start, stop)]
+        )
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), f"width {width}"
 
 
-@pytest.mark.parametrize(
-    "n_words, dtype",
-    [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4, np.int64), (4, ">u8")],
-)
-def test_seed_words_serve_only_four_uint64_words(n_words, dtype):
-    rows = _pcg64_states(7, np.arange(3, dtype=np.uint32))
-    seeds = SeedWords(rows)
-    with pytest.raises(ValueError, match="4 uint64 words"):
-        seeds.generate_state(n_words, dtype)
+@_SEEDS
+@_TRIAL_RANGES
+def test_seeded_states_match_pcg64(seed, start, stop):
+    ts = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
+    got = _pcg64_seeded(_pcg64_states(seed, ts)).tolist()
+    for t, (s_hi, s_lo, i_hi, i_lo) in zip(range(start, stop), got):
+        want = np.random.PCG64(np.random.SeedSequence([seed, t])).state["state"]
+        assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (want["state"], want["inc"]), f"trial {t}"
 
 
-def test_seed_words_hand_out_rows_in_order():
-    rows = _pcg64_states(7, np.arange(3, dtype=np.uint32))
-    seeds = SeedWords(rows)
-    for row, dtype in zip(rows, (np.uint64, "u8", np.dtype(np.uint64))):
-        got = seeds.generate_state(4, dtype)
-        assert got.dtype == np.uint64 and got.tolist() == row.tolist()
-    want = np.random.SeedSequence([7, 1]).generate_state(4, np.uint64)
-    assert rows[1].tolist() == want.tolist()
+def test_raw_state_words_read_back_through_the_public_state():
+    bg = np.random.PCG64(3)
+    halves = [2**64 - 1, 0x0123456789ABCDEF, 0xFEDCBA9876543210, 2**63 + 1]
+    _raw_state(bg)[:] = [halves[k] for k in mc._WORD_ORDER]
+    state = bg.state
+    assert state["state"] == {"state": halves[0] << 64 | halves[1], "inc": halves[2] << 64 | halves[3]}
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+    # the written state is the one the generator draws from
+    want = np.random.PCG64(3)
+    want.state = state
+    assert bg.random_raw(4).tolist() == want.random_raw(4).tolist()
 
 
-# the helper processes: min(workers, blocks) - 1 of them, each running a
-# fixed stride of blocks beside the caller and sending back its parts on a
+# the helper processes: min(workers, blocks, CPUs) - 1 of them, each running
+# a fixed stride of blocks beside the caller and sending back its parts on a
 # one-way pipe
 
 _FORKED = pytest.mark.skipif(
     mc._START_METHOD != "fork", reason="helpers inherit the patched functions by fork"
 )
+
+# 2 workers start a helper only where the affinity mask has 2 CPUs or more.
+# On a 1-CPU host, the tests here and the child interpreters they start see
+# a second CPU beside the real one. The helper gets the real CPU as its
+# share; the caller pins nothing.
+_TWO_CPUS = """
+import os
+if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+    _mask = os.sched_getaffinity(0)
+    os.sched_getaffinity = lambda pid: _mask | {max(_mask) + 1}
+"""
+
+
+@pytest.fixture(autouse=True)
+def _two_cpus(monkeypatch):
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    if mask is not None and len(mask) < 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask | {max(mask) + 1})
 
 
 def _log_lines(path: Path) -> list:
@@ -178,7 +207,11 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
     monkeypatch.setattr(
         os, "sched_setaffinity", lambda pid, cpus: log(pins, os.getpid(), *cpus), raising=False
     )
-    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    mask = getattr(os, "sched_getaffinity", None)
+    before = mask(0) if mask else None
+    if mask:
+        # 8 CPUs, so that the mask does not cap the helpers at any row here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     got = run_ensemble(cfg, trials=trials, seed=4, workers=workers)
     assert sizes == pool_sizes
     fork = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
@@ -198,8 +231,38 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
     assert sorted(cpus for _, *cpus in pinned) == sorted(s for s in shares if s is not None)
     assert len({pid for pid, *_ in pinned}) == len(pinned)
     assert os.getpid() not in {pid for pid, *_ in pinned}
-    assert before is None or os.sched_getaffinity(0) == before
+    assert before is None or mask(0) == before
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
+    assert "".join(got.sample_rows) == "".join(want.sample_rows)
+
+
+@_FORKED
+@pytest.mark.parametrize("mask, handed", [({0, 1}, [[0]]), (None, [None, None])])
+def test_helpers_capped_at_the_affinity_mask(mask, handed, monkeypatch):
+    # 3 workers and 6 one-trial blocks: a 2-CPU mask has room for the caller
+    # and one helper, and a platform without masks sets no cap
+    cfg = _cfg()
+    want = run_ensemble(cfg, trials=6, seed=4)
+    context, started = mc.get_context, []
+
+    class RecordingContext:
+        def __init__(self, method):
+            self.ctx = context(method)
+            self.Pipe = self.ctx.Pipe
+
+        def Process(self, target, args):
+            started.append(args[0])
+            return self.ctx.Process(target=target, args=args)
+
+    monkeypatch.setattr(mc, "BLOCK_TRIALS", 1)
+    monkeypatch.setattr(mc, "get_context", RecordingContext)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+    if mask is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    got = run_ensemble(cfg, trials=6, seed=4, workers=3)
+    assert started == handed
     assert "".join(got.sample_rows) == "".join(want.sample_rows)
 
 
@@ -243,8 +306,9 @@ def test_spawned_workers_match_one_worker(monkeypatch):
     "mask, n, shares",
     [
         ({0, 1}, 2, [[0], [1]]),
-        ({0, 1}, 3, [[0], [1], [0]]),
-        ({3}, 2, [[3], [3]]),
+        # more processes than CPUs: one share per CPU, so only that many start
+        ({0, 1}, 3, [[0], [1]]),
+        ({3}, 2, [[3]]),
         (set(range(8)), 3, [[0, 3, 6], [1, 4, 7], [2, 5]]),
         ({9, 2, 5, 7}, 4, [[2], [5], [7], [9]]),
     ],
@@ -268,10 +332,11 @@ _MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 )
 @pytest.mark.parametrize("workers", [2, 3])
 def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
-    # two blocks for each process and a partial one. Block b runs in process
-    # b mod workers, and the caller is the last process, so helper 0 also
-    # runs the partial block
+    # two blocks for each worker and a partial one. The mask caps the
+    # processes at its CPUs, p of them; block b runs in process b mod p, and
+    # the caller is the last process
     cfg, trials = _cfg(), 2 * workers * BLOCK_TRIALS + 7
+    p = min(workers, len(_MASK))
     want = run_ensemble(cfg, trials=trials, seed=2)
     log = tmp_path / "blocks.txt"
 
@@ -287,13 +352,14 @@ def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
     assert os.sched_getaffinity(0) == before
     ran = {lo: (pid, cpus) for pid, lo, *cpus in _log_lines(log)}
     assert sorted(ran) == list(range(0, trials, BLOCK_TRIALS))
-    pids = [ran[i * BLOCK_TRIALS][0] for i in range(workers)]
-    assert pids[-1] == os.getpid() and len(set(pids)) == workers
+    pids = [ran[i * BLOCK_TRIALS][0] for i in range(p)]
+    assert pids[-1] == os.getpid() and len(set(pids)) == p
+    assert len({pid for pid, _ in ran.values()}) == p
     # helper i runs on the i-th share, checked against fixed masks above;
     # the caller pins nothing
-    shares = _cpu_shares(workers)[: workers - 1] + [sorted(before)]
+    shares = _cpu_shares(workers)[: p - 1] + [sorted(before)]
     for lo, (pid, cpus) in ran.items():
-        i = lo // BLOCK_TRIALS % workers
+        i = lo // BLOCK_TRIALS % p
         assert (pid, cpus) == (pids[i], shares[i]), f"block at trial {lo}"
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
@@ -320,7 +386,7 @@ def test_pool_workers_run_unpinned_without_a_pin(platform, monkeypatch):
 # fails this test by its timeout instead of hanging the suite. 1100 trials are
 # three blocks: the one helper of a 2-worker run runs the first and the third,
 # and dies as it starts the first; the caller runs the second.
-_DYING_WORKER = """
+_DYING_WORKER = _TWO_CPUS + """
 import os, signal, sys, time
 import steepsim.mc as mc
 from steepsim.channel import SystemConfig
@@ -378,7 +444,7 @@ def test_dead_worker_fails_the_run(entry, tmp_path):
 
 # a caller that dies closes its pipe ends: its helpers find no reader for
 # their parts, and exit
-_KILLED_CALLER = """
+_KILLED_CALLER = _TWO_CPUS + """
 import os, sys
 import steepsim.mc as mc
 from steepsim.channel import SystemConfig
@@ -441,7 +507,7 @@ def test_killed_caller_leaves_no_helper():
 # a helper sends each block's part as soon as the block is done, so its peak
 # memory does not grow with the trial count: from 10 240 to 300 000 trials its
 # peak grew by under 0.1 MB, and by 10-12 MB when it kept its parts to the end
-_HELPER_PEAK = """
+_HELPER_PEAK = _TWO_CPUS + """
 import resource, sys
 import steepsim.mc as mc
 from steepsim.channel import SystemConfig
