@@ -29,7 +29,7 @@ import numpy as np
 from .baseline import conventional
 from .channel import InfeasiblePowerError, SystemConfig, sample_realization
 from .linops import DegenerateChannelError
-from .mc import outage_at, run_ensemble, write_outputs
+from .mc import BLOCK_TRIALS, outage_at, run_ensemble, write_outputs
 from .sigsim import variance_report
 from .steep import c_steep, sdof
 
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=1,
         help="processes that run blocks, the caller included (default 1); capped at the "
-        "CPUs of the affinity mask and at the 512-trial blocks",
+        f"CPUs of the affinity mask and at the {BLOCK_TRIALS}-trial blocks",
     )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ensemble)

@@ -1,23 +1,15 @@
-"""Complex-valued sampling and linear algebra primitives shared by all modules.
+"""Complex Gaussian sampling primitives shared by all modules.
 
-Thin contract layer over numpy: circular complex Gaussian draws, Hermitian
-eigendecomposition with a fixed (descending) eigenvalue order, a guarded
-positive-definite solver, and the heap rule for block temporaries. Vectors
-and matrices are plain complex128 ndarrays.
+Circular complex Gaussian draws, the (re, im) views that split one buffer of
+standard normals into them, the error for a degenerate draw, and the heap
+rule for block temporaries. Vectors and matrices are plain complex128
+ndarrays; the package does its linear algebra with numpy directly.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-# Tolerance ladder: symmetry checks at 1e-12, algebraic identities at 1e-10,
-# statistical checks at 3-5 standard errors (see tests).
-HERMITIAN_TOL = 1e-12
-# Rounding lets the Cholesky of an exactly singular Gram pass, with its least
-# squared pivot within 1.9 eps of its largest diagonal entry (n <= 4); that of
-# I + 1e10*G^H G stayed above 1800*n eps (n <= 16).
-SINGULAR_PIVOT_TOL = 4 * np.finfo(float).eps
 
 
 class DegenerateChannelError(Exception):
@@ -87,37 +79,3 @@ def sample_cn_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarr
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
     return cn_from_normals(re, im)
-
-
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition m = Q diag(vals) Q^H of a Hermitian matrix.
-
-    Returns (vals, Q). Eigenvalues come out descending so that the zero modes
-    of a rank-deficient Gram matrix occupy the trailing slots.
-
-    Raises:
-        ValueError: if m is not Hermitian within HERMITIAN_TOL (relative).
-    """
-    m = np.asarray(m)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.conj().T))) > HERMITIAN_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def solve_psd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m @ x = rhs for Hermitian positive definite m.
-
-    Raises:
-        DegenerateChannelError: if m is singular or indefinite, or if a
-            squared Cholesky pivot is at most n*SINGULAR_PIVOT_TOL*max(diag m).
-    """
-    m = np.asarray(m)
-    try:
-        pivots = np.abs(np.diagonal(np.linalg.cholesky(m))) ** 2
-        if pivots.min() <= m.shape[0] * SINGULAR_PIVOT_TOL * np.diagonal(m).real.max():
-            raise np.linalg.LinAlgError("singular within rounding")
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateChannelError("matrix is singular or not positive definite") from exc

@@ -21,8 +21,9 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemConfig, norm2, reference_power, response_norm2
 from .linops import DegenerateChannelError, sample_cn, sample_cn_matrix
-# not called here: the benchmark's tracer wraps them under steepsim.steep
-from .linops import hermitian_eig, solve_psd  # noqa: F401
+# numpy placeholders that nothing calls: perfbench/tracer.py still wraps
+# these two names under steepsim.steep, and beta needs neither routine
+from numpy.linalg import eigh as hermitian_eig, solve as solve_psd  # noqa: F401
 
 LN2 = math.log(2.0)
 # trials per batch of c_key_siso: its h and g then take 16*(1 + n_E) MB

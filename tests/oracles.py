@@ -2,7 +2,6 @@
 import numpy as np
 
 from steepsim.channel import ChannelRealization, SystemConfig
-from steepsim.linops import hermitian_eig
 
 
 def beta_via_eig(cfg: SystemConfig, ch: ChannelRealization) -> float:
@@ -13,8 +12,10 @@ def beta_via_eig(cfg: SystemConfig, ch: ChannelRealization) -> float:
     """
     scale = cfg.P_A / (cfg.n_A * cfg.sigma2_EA)
     gram = ch.G_A.conj().T @ ch.G_A
-    # symmetrized, so that hermitian_eig's Hermitian check holds exactly
-    lam, q = hermitian_eig(0.5 * (gram + gram.conj().T))
+    # the rounded product may miss being Hermitian by an ulp, and eigh reads
+    # only its lower triangle: the mean of both halves uses every entry. The
+    # sum below does not depend on the order of the eigenvalues
+    lam, q = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     lam = np.maximum(lam, 0.0)
     z = q.conj().T @ ch.h_BA.conj()
     return float(np.sum(np.abs(z) ** 2 / (scale * lam + 1.0)))

@@ -24,7 +24,7 @@ from steepsim.steep import (
     mmse_estimator,
     natural_outage_condition,
 )
-from exact import c1_outage, c2_outage
+from exact import both_outage, c1_outage, c2_outage, either_outage
 from oracles import beta_via_eig
 
 SEED = 7
@@ -67,19 +67,40 @@ def test_exact_baseline_direction_outages():
         assert abs(c2_outage(cfg) - c2) <= 1e-6
 
 
+def test_exact_baseline_both_and_either_outages():
+    # the double series against scipy quadrature over ||h_BA||^2 and
+    # ||g_B||^2, rounded to 6 decimals
+    for n_e, both, either in ((6, 0.669950, 0.971388), (2, 0.063569, 0.452712)):
+        cfg = _cfg(n_E=n_e)
+        assert abs(both_outage(cfg) - both) <= 1e-6
+        assert abs(either_outage(cfg) - either) <= 1e-6
+    # at gamma = 0, h_AB is independent of h_BA, so the directions are too
+    for n_e in (2, 6):
+        cfg = _cfg(n_E=n_e, gamma=0.0)
+        assert math.isclose(both_outage(cfg), c1_outage(cfg) * c2_outage(cfg), rel_tol=1e-12)
+
+
 def test_baseline_direction_outages_meet_exact(quad_ensembles):
-    # the frequencies of c1 <= 0 and c2 <= 0 within 4 binomial standard
-    # errors of their exact probabilities, at every P_B
+    # the frequencies of c1 <= 0, c2 <= 0, both (c_conv = 0) and either
+    # within 4 binomial standard errors of their exact probabilities, at
+    # every P_B
     worst = 0.0
     for n_e in (2, 6):
         for p_b in (20.0, 30.0):
             res = quad_ensembles[(n_e, p_b)]
-            for name, exact in (("c1", c1_outage(res.cfg)), ("c2", c2_outage(res.cfg))):
-                freq = float(np.mean(getattr(res, name) <= 0.0))
+            c1_out, c2_out = res.c1 <= 0.0, res.c2 <= 0.0
+            events = (
+                ("c1 <= 0", c1_out, c1_outage(res.cfg)),
+                ("c2 <= 0", c2_out, c2_outage(res.cfg)),
+                ("both", res.c_conv == 0.0, both_outage(res.cfg)),
+                ("either", c1_out | c2_out, either_outage(res.cfg)),
+            )
+            for name, hit, exact in events:
+                freq = float(np.mean(hit))
                 dev = abs(freq - exact) / math.sqrt(exact * (1.0 - exact) / TRIALS)
                 worst = max(worst, dev)
-                assert dev <= 4.0, f"n_E={n_e}, P_B={p_b} dB: {name} <= 0 at {freq} vs {exact}"
-    _report("baseline directions vs exact", worst <= 4.0, f"worst {worst:.2f} se of 4")
+                assert dev <= 4.0, f"n_E={n_e}, P_B={p_b} dB: {name} at {freq} vs {exact}"
+    _report("baseline outages vs exact", worst <= 4.0, f"worst {worst:.2f} se of 4")
 
 
 @pytest.fixture(scope="module")

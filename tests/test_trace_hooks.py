@@ -4,7 +4,9 @@ perfbench/tracer.py times a run by replacing module attributes, such as
 steepsim.cli.run_ensemble, with wrappers. A refactor that removes one of
 those attributes, or that makes a subcommand call past the name the tracer
 replaces, breaks the traced benchmark run; these tests name the break.
-They also keep the imports that only the tracer needs marked and exact.
+They also keep the imports that only the tracer needs marked and exact,
+and keep such an import from holding code in the package that nothing else
+runs.
 """
 import ast
 import importlib
@@ -65,20 +67,31 @@ def test_subcommands_call_through_cli_globals(argv, reached, tmp_path, monkeypat
     assert reached | {"load_config_file", "parse_settings"} <= set(calls)
 
 
+def _from_imports(path: Path) -> tuple[ast.Module, list]:
+    """The module at path, parsed, and its from-imports other than
+    __future__'s as (node, names bound, whether marked TRACER_ONLY_MARK)."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imports = [
+        (
+            node,
+            {alias.asname or alias.name for alias in node.names},
+            TRACER_ONLY_MARK in "\n".join(lines[node.lineno - 1:node.end_lineno]),
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+    ]
+    return tree, imports
+
+
 def _unused_and_marked_imports(path: Path) -> tuple[set, set]:
     """Names from-imported by the module at path that it never reads, and
     names on from-import lines marked TRACER_ONLY_MARK. A name listed in
     __all__ counts as read."""
-    source = path.read_text(encoding="utf-8")
-    lines = source.splitlines()
-    tree = ast.parse(source)
-    imported, marked = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names = {alias.asname or alias.name for alias in node.names}
-            imported |= names
-            if TRACER_ONLY_MARK in "\n".join(lines[node.lineno - 1:node.end_lineno]):
-                marked |= names
+    tree, imports = _from_imports(path)
+    imported = set().union(*(names for _, names, _ in imports))
+    marked = set().union(*(names for _, names, mark in imports if mark))
     read = {
         node.id for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
@@ -102,3 +115,28 @@ def test_tracer_only_imports_are_marked_and_wrapped(path):
     assert unused == marked, f"{path.name}: unused {sorted(unused)}, marked {sorted(marked)}"
     wrapped = {attr for mod, attr, _ in WRAPPED if mod == module}
     assert marked <= wrapped, f"{path.name}: marked but not wrapped: {sorted(marked - wrapped)}"
+
+
+def test_tracer_only_imports_keep_no_code_alive():
+    # a marked import from the package itself must name code that some other
+    # module of the package runs, as a name or as an attribute; code that
+    # only the tracer reaches belongs out of the package, with a placeholder
+    # where the tracer looks
+    parsed = {path: _from_imports(path) for path in sorted(SRC.glob("*.py"))}
+    loaded = {
+        path: {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        for path, (tree, _) in parsed.items()
+    }
+    kept = [
+        f"{path.name}: from .{node.module or ''} import {alias.name}"
+        for path, (_, imports) in parsed.items()
+        for node, _, mark in imports
+        if mark and node.level
+        for alias in node.names
+        if not any(alias.name in names for other, names in loaded.items() if other != path)
+    ]
+    assert not kept, f"imported for the tracer alone, run nowhere else: {kept}"
