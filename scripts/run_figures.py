@@ -20,13 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from steepsim import SystemConfig, gain_distribution, outage_at, run_ensemble, write_outputs
+from steepsim import (
+    SystemConfig, gain_distribution, outage_at, run_ensemble, samples_file, write_outputs,
+)
 
 
 def run_one(tag, cfg, trials, seed, workers, outdir, rows):
     t0 = time.perf_counter()
-    result = run_ensemble(cfg, trials, seed, workers=workers)
-    write_outputs(result, outdir / tag)
+    with samples_file(outdir / tag) as samples:
+        result = run_ensemble(cfg, trials, seed, workers=workers, rows=samples)
+        write_outputs(result, outdir / tag, rows=samples)
     o_s, o_c = outage_at(result, 0.0)
     dist = gain_distribution(result)
     rows.append({

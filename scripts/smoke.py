@@ -17,13 +17,18 @@ checks, in order:
   process, which runs two, and on 3 workers the caller and two helpers run
   one each, where the affinity mask has 3 CPUs or more (helpers are capped
   at its CPUs less one, so on 2 CPUs the 3-worker run is the 2-worker one);
-- the verify and the 2-worker ensemble, rerun with MALLOC_PERTURB_=165 in
-  their environment, exit 0 with the same verify stdout and the same CSV
-  bytes. glibc then fills memory that malloc hands out, and memory freed,
-  with a fixed non-zero byte, so an array read before it is written gives
-  other numbers. Every caller keeps freed block memory in the heap, where
-  such a read would otherwise see an earlier block's values rather than the
-  zeros of a fresh page.
+- the same ensemble on 2 workers through the library,
+  write_outputs(run_ensemble(...)) in the Python that runs this script,
+  writes the same three CSVs. The CLI streams samples.csv's rows to disk as
+  the blocks finish; the library call passes no row sink, so write_outputs
+  formats the rows from the result's columns;
+- the verify, the 2-worker ensemble and the library run, rerun with
+  MALLOC_PERTURB_=165 in their environment, exit 0 with the same verify
+  stdout and the same CSV bytes. glibc then fills memory that malloc hands
+  out, and memory freed, with a fixed non-zero byte, so an array read
+  before it is written gives other numbers. Every caller keeps freed block
+  memory in the heap, where such a read would otherwise see an earlier
+  block's values rather than the zeros of a fresh page.
 The script stops at the first check that fails, names it and exits 1; it
 exits 0 when every check holds.
 """
@@ -37,6 +42,12 @@ N4E6 = "n_A = 4\nn_E = 6\nP_A_dB = 20\nP_B_dB = 30\npower_convention = ConsumedP
 N16E8 = "n_A = 16\nn_E = 8\nP_A_dB = 20\nP_B_dB = 30\n"
 CSVS = ("samples.csv", "outage.csv", "histogram.csv")
 PERTURB = {"MALLOC_PERTURB_": "165"}
+# the CLI's n16e8 ensemble, through the library with no row sink
+LIBRARY_RUN = (
+    "import sys; from steepsim import SystemConfig, run_ensemble, write_outputs; "
+    "write_outputs(run_ensemble(SystemConfig(n_A=16, n_E=8, P_A_dB=20.0, P_B_dB=30.0), "
+    "1031, 1, workers=2), sys.argv[1])"
+)
 
 
 class SmokeFailure(Exception):
@@ -44,9 +55,8 @@ class SmokeFailure(Exception):
 
 
 def _checks(command: list[str], work: Path) -> None:
-    def run(*args: str, status: int = 0, env: dict | None = None) -> tuple[str, str]:
-        """Run one call, echo it and its output; return (stdout, stderr)."""
-        argv = [*command, *args]
+    def call(argv: list[str], status: int = 0, env: dict | None = None) -> tuple[str, str]:
+        """Run one process, echo it and its output; return (stdout, stderr)."""
         prefix = "".join(f"{k}={v} " for k, v in (env or {}).items())
         print(f"+ {prefix}{' '.join(argv)}", flush=True)
         proc = subprocess.run(argv, capture_output=True, text=True,
@@ -54,8 +64,12 @@ def _checks(command: list[str], work: Path) -> None:
         print(proc.stdout, end="", flush=True)
         print(proc.stderr, end="", flush=True)
         if proc.returncode != status:
-            raise SmokeFailure(f"{prefix}{' '.join(args)} exited {proc.returncode}, not {status}")
+            raise SmokeFailure(f"{prefix}{' '.join(argv)} exited {proc.returncode}, not {status}")
         return proc.stdout, proc.stderr
+
+    def run(*args: str, status: int = 0, env: dict | None = None) -> tuple[str, str]:
+        """One steepsim call."""
+        return call([*command, *args], status, env)
 
     run("sdof", "--n_A", "4", "--n_E", "2", "--m_A", "100")
     _, err = run("sdof", "--n_A", "0", "--n_B", "0", "--n_E", "2", "--m_A", "0", "--m_B", "0",
@@ -75,6 +89,10 @@ def _checks(command: list[str], work: Path) -> None:
             "--seed", "1", "--out", str(out), env=env)
         return out
 
+    def library(out: Path, env: dict | None = None) -> Path:
+        call([sys.executable, "-c", LIBRARY_RUN, str(out)], env=env)
+        return out
+
     def compare(a: Path, b: Path, what: str) -> None:
         for name in CSVS:
             if (a / name).read_bytes() != (b / name).read_bytes():
@@ -83,10 +101,13 @@ def _checks(command: list[str], work: Path) -> None:
     w2 = ensemble(2, work / "n16e8")
     compare(ensemble(1, work / "n16e8-w1"), w2, "the 1- and 2-worker ensembles")
     compare(ensemble(3, work / "n16e8-w3"), w2, "the 3- and 2-worker ensembles")
+    compare(library(work / "n16e8-library"), w2, "the library run and the CLI's")
     if run(*verify, env=PERTURB)[0] != verify_out:
         raise SmokeFailure("verify stdout differs under MALLOC_PERTURB_")
     compare(ensemble(2, work / "n16e8-perturbed", PERTURB), w2,
             "the 2-worker ensembles with and without MALLOC_PERTURB_")
+    compare(library(work / "n16e8-library-perturbed", PERTURB), w2,
+            "the library run under MALLOC_PERTURB_ and the CLI's")
 
 
 def main(argv=None) -> int:

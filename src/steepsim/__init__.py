@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 from .baseline import conventional
 from .channel import InfeasiblePowerError, PowerConvention, SystemConfig, sample_realization
 from .linops import DegenerateChannelError
-from .mc import gain_distribution, outage_at, run_ensemble, write_outputs
+from .mc import gain_distribution, outage_at, run_ensemble, samples_file, write_outputs
 from .steep import c_steep
 
 __all__ = [
@@ -32,5 +32,6 @@ __all__ = [
     "outage_at",
     "run_ensemble",
     "sample_realization",
+    "samples_file",
     "write_outputs",
 ]

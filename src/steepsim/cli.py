@@ -29,7 +29,7 @@ import numpy as np
 from .baseline import conventional
 from .channel import InfeasiblePowerError, SystemConfig, sample_realization
 from .linops import DegenerateChannelError
-from .mc import BLOCK_TRIALS, outage_at, run_ensemble, write_outputs
+from .mc import BLOCK_TRIALS, outage_at, run_ensemble, samples_file, write_outputs
 from .sigsim import variance_report
 from .steep import c_steep, sdof
 
@@ -153,10 +153,11 @@ def _settings_from_args(args) -> None:
 
 
 def cmd_ensemble(args) -> int:
-    result = run_ensemble(
-        args.cfg, args.trials, args.seed, rs_grid=args.rs_grid, workers=args.workers
-    )
-    manifest = write_outputs(result, args.out)
+    with samples_file(args.out) as rows:
+        result = run_ensemble(
+            args.cfg, args.trials, args.seed, rs_grid=args.rs_grid, workers=args.workers, rows=rows
+        )
+        manifest = write_outputs(result, args.out, rows=rows)
     o_s, o_c = outage_at(result, 0.0)
     print(f"trials = {result.trials}")
     print(f"O_steep(0) = {o_s:.6g}")

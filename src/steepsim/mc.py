@@ -29,7 +29,8 @@ itself beside them. Block b runs in process b mod p, p = helpers + 1, the
 caller being process p - 1: each helper gets its blocks as it starts and
 sends each block's part back on a one-way pipe as soon as the block is done
 (see _run_blocks). Every block, wherever it runs, is one _run_chunk call,
-which also formats the block's samples.csv rows. A helper first pins
+which also formats the block's samples.csv rows; the caller keeps no text
+(see run_ensemble's rows). A helper first pins
 itself to its share of the parent's CPU affinity mask (see _cpu_shares).
 Left to the kernel, both workers of a 2-worker run on a 2-CPU machine were
 seen to share one CPU for the whole run, which made the run slower than one
@@ -48,6 +49,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -84,10 +86,8 @@ _START_METHOD = "fork" if sys.platform == "linux" else None
 class EnsembleResult:
     """Aggregate of one ensemble run; per-trial arrays are indexed by trial.
 
-    sample_rows holds samples.csv's rows, one string per block, as the blocks
-    formatted them. write_outputs writes these rows, not the columns; only a
-    result that holds none, such as one built by hand, has its rows formatted
-    from c_steep, c_conv, gain and natural_outage.
+    It holds no samples.csv text: run_ensemble streams the rows to a sink,
+    and write_outputs otherwise formats them from the columns.
     """
 
     cfg: SystemConfig
@@ -104,7 +104,6 @@ class EnsembleResult:
     o_conv: np.ndarray
     histograms: dict = field(default_factory=dict)
     elapsed: float = 0.0
-    sample_rows: list = field(default_factory=list, repr=False, compare=False)
 
 
 # numpy's SeedSequence (pool of 4 uint32 words) hashing constants. They do
@@ -399,6 +398,7 @@ def _cpu_shares(n: int) -> list:
     return [cpus[i::m] for i in range(m)]
 
 
+_SAMPLES_HEADER = "trial,c_steep,c_conv,gain,natural_outage\n"
 # one samples.csv row: %.17g reads back as the same float64, %d a flag as 0/1
 _SAMPLE_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
 
@@ -458,8 +458,9 @@ def _helper(cpus, cfg: SystemConfig, seed: int, blocks: list, conn, inherited) -
                 pass
 
 
-def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list) -> list:
-    """_run_chunk's part for each (lo, hi) of blocks, in block order.
+def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list, rows) -> list:
+    """The four columns of _run_chunk's parts over all (lo, hi) of blocks,
+    each one run-length array that every part is copied into.
 
     With p = len(shares) <= len(blocks) processes, block b runs in process
     b mod p: helper i, pinned to shares[i], runs blocks i, i + p, ..., and
@@ -467,16 +468,36 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list) -> lis
     gets its blocks as it starts and sends each part back on a one-way pipe
     as soon as the block is done. A pipe holds about one part, so before
     each of its own blocks the caller takes the parts that have arrived;
-    then it waits for the parts still owed. A helper that exits owing parts
-    has failed. A caller that dies closes its pipe ends, and its helpers
-    find no reader for their next part and exit.
+    then it waits for the parts still owed. Rows go to rows as run_ensemble
+    says, or are dropped with rows None. The columns are allocated at the
+    first part, after every helper has started: a helper forked after them
+    would count their touched pages, all of them under MALLOC_PERTURB_, as
+    its own resident memory. A helper that exits owing parts has failed. A
+    caller that dies closes its pipe ends, and its helpers find no reader
+    for their next part and exit.
     """
     p = len(shares)
     helpers = p - 1
-    parts = [None] * len(blocks)
+    columns = []
+    # rows of blocks that finished before an earlier block, by block
+    held = {}
+    written = 0
     # per helper: its process, the caller's end of its pipe and its blocks
     # whose parts have not arrived, oldest first
     procs, conns, owed = [], [], []
+
+    def take(b: int, part: tuple) -> None:
+        nonlocal written
+        if not columns:
+            columns.extend(np.empty(blocks[-1][1], dtype=values.dtype) for values in part[:4])
+        lo, hi = blocks[b]
+        for col, values in zip(columns, part[:4]):
+            col[lo:hi] = values
+        if rows is not None:
+            held[b] = part[4]
+            while written in held:
+                rows.write(held.pop(written))
+                written += 1
 
     def died(i: int) -> ChildProcessError:
         lo, hi = blocks[owed[i][0]]  # the block helper i was running
@@ -498,7 +519,7 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list) -> lis
                 raise died(i) from None
             if not ok:
                 raise value
-            parts[owed[i].pop(0)] = value
+            take(owed[i].pop(0), value)
         if exited and owed[i]:
             raise died(i)
 
@@ -519,7 +540,7 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list) -> lis
         for b in range(helpers, len(blocks), p):
             for i in range(helpers):
                 collect(i)
-            parts[b] = _run_chunk(cfg, seed, *blocks[b])
+            take(b, _run_chunk(cfg, seed, *blocks[b]))
         while any(owed):
             # loaded here, with the helpers: sdof, single and verify never need it
             from multiprocessing.connection import wait
@@ -527,7 +548,7 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list) -> lis
             wait([end for i in range(helpers) if owed[i] for end in (conns[i], procs[i].sentinel)])
             for i in range(helpers):
                 collect(i)
-        return parts
+        return columns
     finally:
         # a helper still running belongs to a failed run
         for conn in conns:
@@ -560,6 +581,7 @@ def run_ensemble(
     seed: int,
     rs_grid: np.ndarray | None = None,
     workers: int = 1,
+    rows=None,
 ) -> EnsembleResult:
     """Run an ensemble of independent channel realizations.
 
@@ -569,6 +591,11 @@ def run_ensemble(
     blocks itself beside min(workers, blocks, CPUs) - 1 helper processes,
     where CPUs counts the affinity mask's CPUs; a platform without masks
     sets no such cap.
+
+    rows, if given, is a text sink such as a samples_file. Each block's
+    samples.csv rows go to rows.write, in trial order, as soon as every
+    earlier block's have, and are then dropped, so the result holds only
+    the columns. A run that raises may have written some blocks' rows.
 
     Raises:
         InfeasiblePowerError: if the configured budget cannot cover the
@@ -603,8 +630,7 @@ def run_ensemble(
     # helpers beyond blocks - 1 would have nothing to do, and beyond the
     # mask's CPUs - 1 would share a CPU that a fixed stride cannot relieve
     shares = _cpu_shares(min(workers, len(blocks)))
-    cs, no, c1, c2, rows = zip(*_run_blocks(cfg, seed, blocks, shares))
-    cs, no, c1, c2 = (np.concatenate(col) for col in (cs, no, c1, c2))
+    cs, no, c1, c2 = _run_blocks(cfg, seed, blocks, shares, rows)
     # baseline.conventional's c_conv and gain, formed here, not sent by helpers
     cc = _clamp(c1) + _clamp(c2)
     gn = cs - cc
@@ -620,7 +646,6 @@ def run_ensemble(
         natural_outage=no,
         c1=c1,
         c2=c2,
-        sample_rows=list(rows),
         o_steep=empirical_outage(cs, grid),
         o_conv=empirical_outage(cc, grid),
         histograms={
@@ -650,27 +675,54 @@ def gain_distribution(result: EnsembleResult) -> dict:
     }
 
 
-def write_outputs(result: EnsembleResult, outdir) -> dict:
+@contextmanager
+def samples_file(outdir):
+    """A temporary samples.csv, header written, for run_ensemble's rows.
+
+    Yields the text file open for writing: a hidden file in outdir if that
+    is a directory, else in its nearest existing ancestor, so it is on
+    outdir's filesystem and a failed run creates no directory.
+    write_outputs(result, outdir, rows=file) moves it into outdir; if that
+    has not happened by exit, as after a failed run, it is removed.
+    """
+    where = Path(outdir)
+    while not where.is_dir() and where != where.parent:
+        where = where.parent
+    path = where / f".samples-{os.urandom(6).hex()}.csv.tmp"
+    try:
+        with open(path, "x", encoding="ascii", newline="") as f:
+            f.write(_SAMPLES_HEADER)
+            yield f
+    finally:
+        path.unlink(missing_ok=True)
+
+
+def write_outputs(result: EnsembleResult, outdir, rows=None) -> dict:
     """Write samples.csv, outage.csv, histogram.csv and manifest.json.
 
     Floats are written with 17 significant digits so runs reproduce
-    bit-exactly. samples.csv holds result.sample_rows as run_ensemble's blocks
-    formatted them, not rows formed from the columns: a result changed with
-    dataclasses.replace keeps its old rows unless they are replaced too. A
-    result with no rows gets them from its columns. Returns the manifest as
-    written; its "config" holds every SystemConfig field plus the grid. An
-    old manifest.json goes first, so a failed write leaves no manifest beside
-    CSVs it does not describe.
+    bit-exactly. rows, if given, is the samples_file for outdir that
+    run_ensemble wrote this result's rows to; it becomes samples.csv.
+    Without it, the rows are formatted from the result's columns,
+    BLOCK_TRIALS trials at a time, into the same bytes.
+    Returns the manifest as written; its "config" holds every SystemConfig
+    field plus the grid. An old manifest.json goes first, so a failed write
+    leaves no manifest beside CSVs it does not describe.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "manifest.json").unlink(missing_ok=True)
 
     samples = outdir / "samples.csv"
-    with open(samples, "w", encoding="ascii", newline="") as f:
-        f.write("trial,c_steep,c_conv,gain,natural_outage\n")
+    if rows is not None:
+        rows.close()
+        os.replace(rows.name, samples)
+    else:
         cols = (result.c_steep, result.c_conv, result.gain, result.natural_outage)
-        f.writelines(result.sample_rows or [_sample_rows(0, *cols)])
+        with open(samples, "w", encoding="ascii", newline="") as f:
+            f.write(_SAMPLES_HEADER)
+            for lo in range(0, result.c_steep.shape[0], BLOCK_TRIALS):
+                f.write(_sample_rows(lo, *(col[lo : lo + BLOCK_TRIALS] for col in cols)))
 
     outage = outdir / "outage.csv"
     with open(outage, "w", encoding="ascii", newline="") as f:

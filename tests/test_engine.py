@@ -46,6 +46,7 @@ from steepsim.mc import (
     _raw_state,
     _run_chunk,
     run_ensemble,
+    samples_file,
     write_outputs,
 )
 from steepsim.steep import beta, c_steep, log2_ratio
@@ -154,6 +155,19 @@ def _two_cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask | {max(mask) + 1})
 
 
+def _streamed(out: Path, cfg: SystemConfig, trials: int, seed: int, workers: int = 1):
+    """run_ensemble with its rows streamed into out/samples.csv, as the CLI
+    runs it; returns the result."""
+    with samples_file(out) as rows:
+        res = run_ensemble(cfg, trials=trials, seed=seed, workers=workers, rows=rows)
+        write_outputs(res, out, rows=rows)
+    return res
+
+
+def _samples_csv(out: Path) -> bytes:
+    return (out / "samples.csv").read_bytes()
+
+
 def _log_lines(path: Path) -> list:
     """The integer fields of each line of a log that forked helpers append to."""
     if not path.exists():
@@ -173,6 +187,7 @@ def _log_lines(path: Path) -> list:
 def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, monkeypatch):
     cfg = _cfg()
     want = run_ensemble(cfg, trials=trials, seed=4)
+    write_outputs(want, tmp_path / "want")
     starts, sizes, handed = [], [], []
     blocks, pins = tmp_path / "blocks.txt", tmp_path / "pins.txt"
     context = mc.get_context
@@ -212,7 +227,7 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
     if mask:
         # 8 CPUs, so that the mask does not cap the helpers at any row here
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    got = run_ensemble(cfg, trials=trials, seed=4, workers=workers)
+    got = _streamed(tmp_path / "got", cfg, trials, 4, workers)
     assert sizes == pool_sizes
     fork = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
     assert starts == [fork] * len(pool_sizes)
@@ -233,16 +248,16 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
     assert os.getpid() not in {pid for pid, *_ in pinned}
     assert before is None or mask(0) == before
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
-    assert "".join(got.sample_rows) == "".join(want.sample_rows)
+    assert _samples_csv(tmp_path / "got") == _samples_csv(tmp_path / "want")
 
 
 @_FORKED
 @pytest.mark.parametrize("mask, handed", [({0, 1}, [[0]]), (None, [None, None])])
-def test_helpers_capped_at_the_affinity_mask(mask, handed, monkeypatch):
+def test_helpers_capped_at_the_affinity_mask(mask, handed, tmp_path, monkeypatch):
     # 3 workers and 6 one-trial blocks: a 2-CPU mask has room for the caller
     # and one helper, and a platform without masks sets no cap
     cfg = _cfg()
-    want = run_ensemble(cfg, trials=6, seed=4)
+    write_outputs(run_ensemble(cfg, trials=6, seed=4), tmp_path / "want")
     context, started = mc.get_context, []
 
     class RecordingContext:
@@ -261,20 +276,20 @@ def test_helpers_capped_at_the_affinity_mask(mask, handed, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
-    got = run_ensemble(cfg, trials=6, seed=4, workers=3)
+    _streamed(tmp_path / "got", cfg, 6, 4, workers=3)
     assert started == handed
-    assert "".join(got.sample_rows) == "".join(want.sample_rows)
+    assert _samples_csv(tmp_path / "got") == _samples_csv(tmp_path / "want")
 
 
-def test_worker_count_bounded(monkeypatch):
+def test_worker_count_bounded(tmp_path, monkeypatch):
     # nothing may start a helper process
     monkeypatch.setattr(mc, "get_context", None)
     with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}"):
         run_ensemble(_cfg(), trials=10**6, seed=1, workers=MAX_WORKERS + 1)
     # one block needs no helper at any worker count
-    got = run_ensemble(_cfg(), trials=BLOCK_TRIALS, seed=1, workers=MAX_WORKERS)
-    want = run_ensemble(_cfg(), trials=BLOCK_TRIALS, seed=1)
-    assert got.sample_rows == want.sample_rows
+    _streamed(tmp_path / "got", _cfg(), BLOCK_TRIALS, 1, workers=MAX_WORKERS)
+    _streamed(tmp_path / "want", _cfg(), BLOCK_TRIALS, 1)
+    assert _samples_csv(tmp_path / "got") == _samples_csv(tmp_path / "want")
 
 
 def test_spawned_workers_match_one_worker(monkeypatch):
@@ -532,6 +547,43 @@ def test_helper_peak_memory_does_not_grow_with_trials():
     assert peaks[1] - peaks[0] < 3 * 1024, f"helper peaks {peaks} kB"
 
 
+# the caller streams samples.csv's rows to disk as the blocks finish and keeps
+# only the columns, so from 10 240 to 300 000 trials its peak grows by those
+# and the aggregates: 25 B per trial of columns, 16 of c_conv and gain, and
+# the outage curves' sorted copies, about 50 B in all. Holding the rows until
+# write_outputs made it grow by 133-136 B per trial. The 90 B bound was set
+# before either was measured.
+_CALLER_PEAK = _TWO_CPUS + """
+import resource, sys
+from steepsim.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kB on Linux")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_caller_peak_memory_grows_by_the_columns_alone(workers, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(mc.__file__).parents[1]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_A = 4\nn_E = 6\nP_A_dB = 20\nP_B_dB = 30\n")
+    counts, peaks = (10_240, 300_000), []
+    for trials in counts:
+        argv = [
+            "ensemble", "--config", str(cfg), "--trials", str(trials), "--seed", "1",
+            "--workers", str(workers), "--out", str(tmp_path / str(trials)),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _CALLER_PEAK, *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.splitlines()[-1]))
+    growth = (peaks[1] - peaks[0]) * 1024 / (counts[1] - counts[0])
+    assert growth < 90, f"caller peaks {peaks} kB, {growth:.0f} B/trial"
+
+
 # a helper's exception crosses its pipe and is raised again in the caller
 
 _ZERO_TRIAL = 450  # in block 0 of 600 trials, which the helper of a 2-worker run takes
@@ -576,6 +628,53 @@ def test_worker_exception_fails_the_cli_run(monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (2, "", f"error: {_ZERO_MESSAGE}\n")
     assert not out.exists()
+
+
+# a failed run changes nothing on disk: it makes no output directory, leaves
+# no temporary samples file, and leaves a good run's four files as they were
+
+def _disk(root: Path) -> dict:
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@_FORKED
+@pytest.mark.parametrize("into", ["no directory", "a good run"])
+@pytest.mark.parametrize(
+    "failure, workers",
+    [("dying helper", 2), ("helper exception", 2), ("degenerate draw", 1)],
+)
+def test_failed_cli_run_changes_nothing_on_disk(
+    failure, workers, into, monkeypatch, capsys, tmp_path
+):
+    from steepsim.cli import main
+
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text("n_A = 4\nn_E = 6\nP_A_dB = 20\nP_B_dB = 30\n")
+    args = ["ensemble", "--config", str(cfg), "--out", str(out)]
+    if into == "a good run":
+        assert main(args + ["--trials", "700", "--seed", "3"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "histogram.csv", "manifest.json", "outage.csv", "samples.csv",
+        ]
+    before = _disk(tmp_path)
+    if failure == "dying helper":
+        run_chunk, caller = _run_chunk, os.getpid()
+
+        def dying_chunk(*block):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_chunk(*block)
+
+        monkeypatch.setattr(mc, "_run_chunk", dying_chunk)
+        message = "seed 9: the worker process for trials 0-511 died"
+    else:
+        _zero_one_trial(monkeypatch)
+        message = _ZERO_MESSAGE
+    capsys.readouterr()
+    rc = main(args + ["--trials", "600", "--seed", "9", "--workers", str(workers)])
+    assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert _disk(tmp_path) == before
 
 
 # a run leaves no worker process and no open pipe behind, however it ends
@@ -830,12 +929,26 @@ def test_samples_writer_matches_row_by_row_formatter(tmp_path):
         c_steep=np.concatenate([special, res.c_steep[special.size:]]),
         gain=np.concatenate([-special, res.gain[special.size:]]),
     )
-    # rows of trials 0-199 and 200-299, formatted as two blocks would be
+    # rows of trials 0-199 and 200-299, formatted as two blocks would be and
+    # streamed into samples.csv
     cols = (res.c_steep, res.c_conv, res.gain, res.natural_outage)
-    rows = [mc._sample_rows(lo, *(col[lo:hi] for col in cols)) for lo, hi in ((0, 200), (200, 300))]
-    write_outputs(dataclasses.replace(res, sample_rows=rows), tmp_path / "rows")
-    # a result holding no rows has them formatted from its columns
-    write_outputs(dataclasses.replace(res, sample_rows=[]), tmp_path / "cols")
+    with samples_file(tmp_path / "rows") as rows:
+        for lo, hi in ((0, 200), (200, 300)):
+            rows.write(mc._sample_rows(lo, *(col[lo:hi] for col in cols)))
+        write_outputs(res, tmp_path / "rows", rows=rows)
+    # without streamed rows, they are formatted from the columns
+    write_outputs(res, tmp_path / "cols")
     for out in ("rows", "cols"):
         written = (tmp_path / out / "samples.csv").read_text(encoding="ascii")
         assert written == _reference_samples_csv(res), out
+
+
+def test_replaced_columns_write_their_own_rows(tmp_path):
+    # a result changed with dataclasses.replace once wrote the rows its run
+    # had formatted, not its new columns; 600 trials span two blocks
+    res = run_ensemble(_cfg(), trials=600, seed=5)
+    flipped = dataclasses.replace(res, c_steep=res.c_steep[::-1].copy(), gain=-res.gain)
+    write_outputs(flipped, tmp_path)
+    written = (tmp_path / "samples.csv").read_text(encoding="ascii")
+    assert written == _reference_samples_csv(flipped)
+    assert written != _reference_samples_csv(res)

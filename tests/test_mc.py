@@ -16,6 +16,7 @@ from steepsim.mc import (
     gain_distribution,
     outage_at,
     run_ensemble,
+    samples_file,
     write_outputs,
 )
 
@@ -215,14 +216,17 @@ def test_written_samples_identical_across_worker_counts(tmp_path, small_ensemble
     assert (d1 / "outage.csv").read_bytes() == (d2 / "outage.csv").read_bytes()
 
 
-# rows formatted where each block ran: 1031 trials are two full blocks and a
-# partial one, run by the caller alone, by the caller and one helper, or by
-# the caller and two helpers
+# rows formatted where each block ran and streamed to samples.csv: 1031
+# trials are two full blocks and a partial one, run by the caller alone, by
+# the caller and one helper, or by the caller and two helpers
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sample_rows_follow_the_row_format(workers, tmp_path):
     trials = 2 * mc.BLOCK_TRIALS + 7
-    res = run_ensemble(_cfg(n_E=6, P_B_dB=20.0), trials=trials, seed=3, workers=workers)
-    write_outputs(res, tmp_path)
+    with samples_file(tmp_path) as rows:
+        res = run_ensemble(
+            _cfg(n_E=6, P_B_dB=20.0), trials=trials, seed=3, workers=workers, rows=rows
+        )
+        write_outputs(res, tmp_path, rows=rows)
     lines = (tmp_path / "samples.csv").read_text(encoding="ascii").splitlines(keepends=True)
     assert lines[0] == "trial,c_steep,c_conv,gain,natural_outage\n"
     assert len(lines) == trials + 1
