@@ -10,10 +10,12 @@ checks, in order:
 - `sdof` with zero antennas exits 1 with a one-line error on stderr;
 - `verify` (m = 20000, seed 1) and `single --json` on a 5-line n_A=4,
   n_E=6 config exit 0;
+- `ensemble --out ''`, run in WORKDIR as an unset shell variable would
+  give it, exits 1 with a one-line error on stderr and writes nothing there;
 - a 1031-trial ensemble at n_A=16, n_E=8 exits 0 on 2 workers, on 1 and
   on 3, and the three runs' samples.csv, outage.csv and histogram.csv are
   byte-identical. n_E < n_A takes beta's n_E-sized route. 1031 trials are
-  three blocks: on 2 workers the caller runs one beside one pinned helper
+  three blocks: on 2 workers the caller runs one beside one helper
   process, which runs two, and on 3 workers the caller and two helpers run
   one each, where the affinity mask has 3 CPUs or more (helpers are capped
   at its CPUs less one, so on 2 CPUs the 3-worker run is the 2-worker one);
@@ -34,6 +36,7 @@ exits 0 when every check holds.
 """
 import argparse
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -55,21 +58,23 @@ class SmokeFailure(Exception):
 
 
 def _checks(command: list[str], work: Path) -> None:
-    def call(argv: list[str], status: int = 0, env: dict | None = None) -> tuple[str, str]:
+    def call(argv: list[str], status: int = 0, env: dict | None = None,
+             cwd: Path | None = None) -> tuple[str, str]:
         """Run one process, echo it and its output; return (stdout, stderr)."""
         prefix = "".join(f"{k}={v} " for k, v in (env or {}).items())
-        print(f"+ {prefix}{' '.join(argv)}", flush=True)
-        proc = subprocess.run(argv, capture_output=True, text=True,
+        print(f"+ {prefix}{shlex.join(argv)}", flush=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, cwd=cwd,
                               env={**os.environ, **env} if env else None)
         print(proc.stdout, end="", flush=True)
         print(proc.stderr, end="", flush=True)
         if proc.returncode != status:
-            raise SmokeFailure(f"{prefix}{' '.join(argv)} exited {proc.returncode}, not {status}")
+            raise SmokeFailure(f"{prefix}{shlex.join(argv)} exited {proc.returncode}, not {status}")
         return proc.stdout, proc.stderr
 
-    def run(*args: str, status: int = 0, env: dict | None = None) -> tuple[str, str]:
+    def run(*args: str, status: int = 0, env: dict | None = None,
+            cwd: Path | None = None) -> tuple[str, str]:
         """One steepsim call."""
-        return call([*command, *args], status, env)
+        return call([*command, *args], status, env, cwd)
 
     run("sdof", "--n_A", "4", "--n_E", "2", "--m_A", "100")
     _, err = run("sdof", "--n_A", "0", "--n_B", "0", "--n_E", "2", "--m_A", "0", "--m_B", "0",
@@ -83,6 +88,13 @@ def _checks(command: list[str], work: Path) -> None:
     run("single", "--config", str(n4e6), "--json")
     n16e8 = work / "n16e8.cfg"
     n16e8.write_text(N16E8, encoding="ascii")
+    before = sorted(work.rglob("*"))
+    _, err = run("ensemble", "--config", n16e8.name, "--trials", "1031", "--out", "", status=1,
+                 cwd=work)
+    if err.count("\n") != 1:
+        raise SmokeFailure(f"ensemble --out '' wrote {err.count(chr(10))} stderr lines, not 1")
+    if sorted(work.rglob("*")) != before:
+        raise SmokeFailure("ensemble --out '' wrote into its working directory")
 
     def ensemble(workers: int, out: Path, env: dict | None = None) -> Path:
         run("ensemble", "--config", str(n16e8), "--trials", "1031", "--workers", str(workers),

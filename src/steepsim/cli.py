@@ -153,6 +153,9 @@ def _settings_from_args(args) -> None:
 
 
 def cmd_ensemble(args) -> int:
+    if not args.out:
+        # as from an unset shell variable; it would name the working directory
+        raise ValueError("--out must name a directory, got ''")
     with samples_file(args.out) as rows:
         result = run_ensemble(
             args.cfg, args.trials, args.seed, rs_grid=args.rs_grid, workers=args.workers, rows=rows
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes that run blocks, the caller included (default 1); capped at the "
         f"CPUs of the affinity mask and at the {BLOCK_TRIALS}-trial blocks",
     )
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, help="output directory; must not be empty")
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("single", parents=[run], help="analyze one realization")

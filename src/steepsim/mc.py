@@ -30,14 +30,10 @@ caller being process p - 1: each helper gets its blocks as it starts and
 sends each block's part back on a one-way pipe as soon as the block is done
 (see _run_blocks). Every block, wherever it runs, is one _run_chunk call,
 which also formats the block's samples.csv rows; the caller keeps no text
-(see run_ensemble's rows). A helper first pins
-itself to its share of the parent's CPU affinity mask (see _cpu_shares).
-Left to the kernel, both workers of a 2-worker run on a 2-CPU machine were
-seen to share one CPU for the whole run, which made the run slower than one
-worker. The caller's own mask never changes, and a helper that cannot pin
-itself runs unpinned. A helper's exception is raised again in the caller,
-and a helper that exits owing parts fails the run at once, naming the
-trials of the block it was running.
+(see run_ensemble's rows). Helpers inherit the caller's CPU affinity mask,
+and the kernel places every process within it. A helper's exception is
+raised again in the caller, and a helper that exits owing parts fails the
+run at once, naming the trials of the block it was running.
 numpy.random is imported with this module, so every forked helper starts
 with it loaded.
 """
@@ -381,23 +377,6 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     return cs, diff <= 0.0, c1, c2
 
 
-def _cpu_shares(n: int) -> list:
-    """CPU sets for at most n processes, split from this process's affinity
-    mask: one share per process to start, never more than the mask's CPUs.
-
-    With m = min(n, size of the mask), share i holds every m-th CPU of the
-    mask from the i-th on, so the scheduler still chooses among several CPUs
-    on a large machine. A platform without affinity masks gets n shares of
-    None.
-    """
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return [None] * n
-    m = min(n, len(cpus))
-    return [cpus[i::m] for i in range(m)]
-
-
 _SAMPLES_HEADER = "trial,c_steep,c_conv,gain,natural_outage\n"
 # one samples.csv row: %.17g reads back as the same float64, %d a flag as 0/1
 _SAMPLE_ROW = "%d,%.17g,%.17g,%.17g,%d\n"
@@ -428,23 +407,17 @@ def _run_chunk(cfg: SystemConfig, seed: int, lo: int, hi: int) -> tuple:
     return cs, no, c1, c2, _sample_rows(lo, cs, cc, cs - cc, no)
 
 
-def _helper(cpus, cfg: SystemConfig, seed: int, blocks: list, conn, inherited) -> None:
+def _helper(cfg: SystemConfig, seed: int, blocks: list, conn, inherited) -> None:
     """Helper process body: run each (lo, hi) of blocks in order.
 
     inherited holds the caller's pipe ends that a forked helper got copies
     of; with them closed, the helper finds no reader for a part once the
     caller is gone, and exits. Each block's part goes out on conn as
     (True, part) as soon as the block is done. An exception goes out as
-    (False, exception) and ends the helper. Only helpers pin themselves, so
-    the caller's mask never changes; a failed pin leaves the helper unpinned.
+    (False, exception) and ends the helper.
     """
     for end in inherited:
         end.close()
-    if cpus is not None:
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass
     with conn:
         try:
             for lo, hi in blocks:
@@ -458,25 +431,23 @@ def _helper(cpus, cfg: SystemConfig, seed: int, blocks: list, conn, inherited) -
                 pass
 
 
-def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list, rows) -> list:
+def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows) -> list:
     """The four columns of _run_chunk's parts over all (lo, hi) of blocks,
     each one run-length array that every part is copied into.
 
-    With p = len(shares) <= len(blocks) processes, block b runs in process
-    b mod p: helper i, pinned to shares[i], runs blocks i, i + p, ..., and
-    the caller, process p - 1, runs the rest; its share goes unused. A helper
-    gets its blocks as it starts and sends each part back on a one-way pipe
-    as soon as the block is done. A pipe holds about one part, so before
-    each of its own blocks the caller takes the parts that have arrived;
-    then it waits for the parts still owed. Rows go to rows as run_ensemble
-    says, or are dropped with rows None. The columns are allocated at the
-    first part, after every helper has started: a helper forked after them
-    would count their touched pages, all of them under MALLOC_PERTURB_, as
-    its own resident memory. A helper that exits owing parts has failed. A
-    caller that dies closes its pipe ends, and its helpers find no reader
-    for their next part and exit.
+    With p <= len(blocks) processes, block b runs in process b mod p:
+    helper i runs blocks i, i + p, ..., and the caller, process p - 1, runs
+    the rest. A helper gets its blocks as it starts and sends each part back
+    on a one-way pipe as soon as the block is done. A pipe holds about one
+    part, so before each of its own blocks the caller takes the parts that
+    have arrived; then it waits for the parts still owed. Rows go to rows as
+    run_ensemble says, or are dropped with rows None. The columns are
+    allocated at the first part, after every helper has started: a helper
+    forked after them would count their touched pages, all of them under
+    MALLOC_PERTURB_, as its own resident memory. A helper that exits owing
+    parts has failed. A caller that dies closes its pipe ends, and its
+    helpers find no reader for their next part and exit.
     """
-    p = len(shares)
     helpers = p - 1
     columns = []
     # rows of blocks that finished before an earlier block, by block
@@ -526,13 +497,13 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, shares: list, rows) 
     try:
         if helpers:
             ctx = get_context(_START_METHOD)
-            for i, cpus in enumerate(shares[:helpers]):
+            for i in range(helpers):
                 conn, child = ctx.Pipe(duplex=False)
                 conns.append(conn)
                 owed.append(list(range(i, len(blocks), p)))
                 # a forked helper closes its copies of the caller's ends
                 inherited = conns[:] if _START_METHOD == "fork" else []
-                args = (cpus, cfg, seed, blocks[i::p], child, inherited)
+                args = (cfg, seed, blocks[i::p], child, inherited)
                 with child:  # the helper holds the only other end once started
                     proc = ctx.Process(target=_helper, args=args)
                     proc.start()
@@ -629,8 +600,12 @@ def run_ensemble(
     blocks = [(lo, min(lo + BLOCK_TRIALS, trials)) for lo in range(0, trials, BLOCK_TRIALS)]
     # helpers beyond blocks - 1 would have nothing to do, and beyond the
     # mask's CPUs - 1 would share a CPU that a fixed stride cannot relieve
-    shares = _cpu_shares(min(workers, len(blocks)))
-    cs, no, c1, c2 = _run_blocks(cfg, seed, blocks, shares, rows)
+    p = min(workers, len(blocks))
+    try:
+        p = min(p, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        pass  # a platform without affinity masks sets no cap
+    cs, no, c1, c2 = _run_blocks(cfg, seed, blocks, p, rows)
     # baseline.conventional's c_conv and gain, formed here, not sent by helpers
     cc = _clamp(c1) + _clamp(c2)
     gn = cs - cc
@@ -684,9 +659,16 @@ def samples_file(outdir):
     outdir's filesystem and a failed run creates no directory.
     write_outputs(result, outdir, rows=file) moves it into outdir; if that
     has not happened by exit, as after a failed run, it is removed.
+
+    Raises:
+        NotADirectoryError: if outdir, or an ancestor on the way to the
+            nearest existing directory, is some other file, so that no run
+            starts whose outputs cannot be written.
     """
     where = Path(outdir)
     while not where.is_dir() and where != where.parent:
+        if os.path.lexists(where):
+            raise NotADirectoryError(f"cannot write into {outdir}: {where} is not a directory")
         where = where.parent
     path = where / f".samples-{os.urandom(6).hex()}.csv.tmp"
     try:

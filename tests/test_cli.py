@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from steepsim.baseline import conventional
 from steepsim.channel import MAX_ANTENNAS, PowerConvention, SystemConfig, sample_realization
 import steepsim.cli as cli
+import steepsim.mc as mc
 from steepsim.cli import load_config_file, main, parse_settings
 from steepsim.steep import c_steep
 
@@ -182,6 +183,42 @@ def test_failed_rerun_leaves_no_stale_manifest(cfg_file, tmp_path, capsys):
     assert len((out / "samples.csv").read_text().splitlines()) == 901
     # no manifest describes the 500-trial seed-1 run beside the new samples
     assert not (out / "manifest.json").exists()
+
+
+def _no_trial(*block):
+    raise AssertionError(f"a trial ran: {block}")
+
+
+@pytest.mark.parametrize("where", ["afile", "afile/sub"])
+def test_ensemble_out_under_a_file_fails_before_any_trial(
+    where, cfg_file, tmp_path, capsys, monkeypatch
+):
+    # an output that cannot be a directory fails the run before its first
+    # trial, not after the whole run
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a directory\n")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(mc, "_run_chunk", _no_trial)
+    out = tmp_path / where
+    rc = main(["ensemble", "--config", cfg_file, "--trials", "200000", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot write into {out}: {afile} is not a directory\n"
+    assert afile.read_bytes() == b"not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_ensemble_empty_out_exit_code(cfg_file, tmp_path, capsys, monkeypatch):
+    # as from an unset shell variable: the working directory and an earlier
+    # run's manifest there stay as they were
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.json").write_text("{}\n")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(mc, "_run_chunk", _no_trial)
+    rc = main(["ensemble", "--config", cfg_file, "--trials", "20", "--out", ""])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --out must name a directory, got ''\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "manifest.json").read_text() == "{}\n"
 
 
 def test_ensemble_zero_trials_exit_code(cfg_file, tmp_path, capsys):

@@ -37,7 +37,6 @@ from steepsim.mc import (
     _analyze_block,
     _beta,
     _child_normals,
-    _cpu_shares,
     _log2_ratio,
     _norm2,
     _normals_per_trial,
@@ -138,8 +137,8 @@ _FORKED = pytest.mark.skipif(
 
 # 2 workers start a helper only where the affinity mask has 2 CPUs or more.
 # On a 1-CPU host, the tests here and the child interpreters they start see
-# a second CPU beside the real one. The helper gets the real CPU as its
-# share; the caller pins nothing.
+# a second CPU beside the real one. Nothing pins a process, so the caller and
+# its helper then share the real CPU.
 _TWO_CPUS = """
 import os
 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
@@ -188,13 +187,13 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
     cfg = _cfg()
     want = run_ensemble(cfg, trials=trials, seed=4)
     write_outputs(want, tmp_path / "want")
-    starts, sizes, handed = [], [], []
-    blocks, pins = tmp_path / "blocks.txt", tmp_path / "pins.txt"
+    starts, sizes = [], []
+    blocks = tmp_path / "blocks.txt"
     context = mc.get_context
 
     class StandInContext:
-        """The real context, recording its start method and every helper
-        process started under it with the CPUs handed to it."""
+        """The real context, recording its start method and the number of
+        helper processes started under it."""
 
         def __init__(self, method):
             self.ctx = context(method)
@@ -204,27 +203,17 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
 
         def Process(self, target, args):
             sizes[-1] += 1
-            handed.append(args[0])
             return self.ctx.Process(target=target, args=args)
 
-    def log(path, *fields):
-        with open(path, "a", encoding="ascii") as f:
-            f.write(" ".join(map(str, fields)) + "\n")
-
     def run_chunk(cfg, seed, lo, hi):
-        log(blocks, os.getpid(), lo, hi)
+        with open(blocks, "a", encoding="ascii") as f:
+            f.write(f"{os.getpid()} {lo} {hi}\n")
         return _run_chunk(cfg, seed, lo, hi)
 
     monkeypatch.setattr(mc, "BLOCK_TRIALS", 1)
     monkeypatch.setattr(mc, "get_context", StandInContext)
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
-    # record the CPU set each process asks for instead of pinning it
-    monkeypatch.setattr(
-        os, "sched_setaffinity", lambda pid, cpus: log(pins, os.getpid(), *cpus), raising=False
-    )
-    mask = getattr(os, "sched_getaffinity", None)
-    before = mask(0) if mask else None
-    if mask:
+    if hasattr(os, "sched_getaffinity"):
         # 8 CPUs, so that the mask does not cap the helpers at any row here
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     got = _streamed(tmp_path / "got", cfg, trials, 4, workers)
@@ -238,24 +227,20 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
     helpers = sum(pool_sizes)
     assert os.getpid() in {pid for pid, *_ in ran}
     assert len({pid for pid, *_ in ran}) == helpers + 1
-    # helper i gets the i-th of the caller's shares, pins itself to it and
-    # runs its blocks there; the caller pins nothing
-    shares = _cpu_shares(helpers + 1)[:helpers]
-    assert handed == shares
-    pinned = _log_lines(pins)
-    assert sorted(cpus for _, *cpus in pinned) == sorted(s for s in shares if s is not None)
-    assert len({pid for pid, *_ in pinned}) == len(pinned)
-    assert os.getpid() not in {pid for pid, *_ in pinned}
-    assert before is None or mask(0) == before
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
     assert _samples_csv(tmp_path / "got") == _samples_csv(tmp_path / "want")
 
 
 @_FORKED
-@pytest.mark.parametrize("mask, handed", [({0, 1}, [[0]]), (None, [None, None])])
+@pytest.mark.parametrize(
+    "mask, handed",
+    # the first trial of each block handed to each helper started
+    [({0, 1}, [[0, 2, 4]]), (None, [[0, 3], [1, 4]]), ({5}, [])],
+)
 def test_helpers_capped_at_the_affinity_mask(mask, handed, tmp_path, monkeypatch):
     # 3 workers and 6 one-trial blocks: a 2-CPU mask has room for the caller
-    # and one helper, and a platform without masks sets no cap
+    # and one helper, a 1-CPU mask for the caller alone, and a platform
+    # without masks sets no cap
     cfg = _cfg()
     write_outputs(run_ensemble(cfg, trials=6, seed=4), tmp_path / "want")
     context, started = mc.get_context, []
@@ -266,12 +251,11 @@ def test_helpers_capped_at_the_affinity_mask(mask, handed, tmp_path, monkeypatch
             self.Pipe = self.ctx.Pipe
 
         def Process(self, target, args):
-            started.append(args[0])
+            started.append([lo for lo, _ in args[2]])
             return self.ctx.Process(target=target, args=args)
 
     monkeypatch.setattr(mc, "BLOCK_TRIALS", 1)
     monkeypatch.setattr(mc, "get_context", RecordingContext)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     if mask is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -315,38 +299,17 @@ def test_spawned_workers_match_one_worker(monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-# each worker runs its chunk on its share of the CPUs
-
-@pytest.mark.parametrize(
-    "mask, n, shares",
-    [
-        ({0, 1}, 2, [[0], [1]]),
-        # more processes than CPUs: one share per CPU, so only that many start
-        ({0, 1}, 3, [[0], [1]]),
-        ({3}, 2, [[3]]),
-        (set(range(8)), 3, [[0, 3, 6], [1, 4, 7], [2, 5]]),
-        ({9, 2, 5, 7}, 4, [[2], [5], [7], [9]]),
-    ],
-)
-def test_cpu_shares_split_the_mask(mask, n, shares, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
-    assert _cpu_shares(n) == shares
-
-
-def test_cpu_shares_without_affinity_masks(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _cpu_shares(3) == [None, None, None]
-
+# each helper runs a fixed stride of blocks with the caller's mask
 
 _MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
 
 @pytest.mark.skipif(
-    len(_MASK) < 2 or not hasattr(os, "sched_setaffinity") or mc._START_METHOD != "fork",
-    reason="needs 2 CPUs, affinity masks and forked workers",
+    len(_MASK) < 2 or mc._START_METHOD != "fork",
+    reason="needs 2 CPUs, affinity masks and forked helpers",
 )
 @pytest.mark.parametrize("workers", [2, 3])
-def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
+def test_helpers_run_a_fixed_stride(workers, tmp_path, monkeypatch):
     # two blocks for each worker and a partial one. The mask caps the
     # processes at its CPUs, p of them; block b runs in process b mod p, and
     # the caller is the last process
@@ -356,7 +319,7 @@ def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
     log = tmp_path / "blocks.txt"
 
     def run_chunk(cfg, seed, lo, hi):
-        # runs in the caller and in forked helpers, each block pinned or not
+        # runs in the caller and in forked helpers
         with open(log, "a", encoding="ascii") as f:
             f.write(" ".join(map(str, [os.getpid(), lo, *sorted(os.sched_getaffinity(0))])) + "\n")
         return _run_chunk(cfg, seed, lo, hi)
@@ -370,29 +333,10 @@ def test_pool_workers_pin_each_chunk(workers, tmp_path, monkeypatch):
     pids = [ran[i * BLOCK_TRIALS][0] for i in range(p)]
     assert pids[-1] == os.getpid() and len(set(pids)) == p
     assert len({pid for pid, _ in ran.values()}) == p
-    # helper i runs on the i-th share, checked against fixed masks above;
-    # the caller pins nothing
-    shares = _cpu_shares(workers)[: p - 1] + [sorted(before)]
+    # every block runs with the caller's whole mask: nothing pins a process
     for lo, (pid, cpus) in ran.items():
         i = lo // BLOCK_TRIALS % p
-        assert (pid, cpus) == (pids[i], shares[i]), f"block at trial {lo}"
-    assert got.c_steep.tobytes() == want.c_steep.tobytes()
-
-
-@pytest.mark.parametrize("platform", ["pin fails", "no affinity masks"])
-def test_pool_workers_run_unpinned_without_a_pin(platform, monkeypatch):
-    # three blocks: the helper takes two, the caller one
-    cfg, trials = _cfg(), 2 * BLOCK_TRIALS + 9
-    want = run_ensemble(cfg, trials=trials, seed=3)
-    if platform == "pin fails":
-        def refuse(*args):
-            raise OSError(22, "Invalid argument")
-
-        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    got = run_ensemble(cfg, trials=trials, seed=3, workers=2)
+        assert (pid, cpus) == (pids[i], sorted(before)), f"block at trial {lo}"
     assert got.c_steep.tobytes() == want.c_steep.tobytes()
 
 

@@ -21,9 +21,9 @@ def test_smoke_passes_through_python_m(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stderr == ""
-    # sdof twice, verify, single, the ensemble on 2 workers, on 1 and on 3,
-    # the library run, then verify, the 2-worker ensemble and the library run
-    # again under MALLOC_PERTURB_
-    assert sum(line.startswith("+ ") for line in proc.stdout.splitlines()) == 11
+    # sdof twice, verify, single, the ensemble with an empty --out, the
+    # ensemble on 2 workers, on 1 and on 3, the library run, then verify, the
+    # 2-worker ensemble and the library run again under MALLOC_PERTURB_
+    assert sum(line.startswith("+ ") for line in proc.stdout.splitlines()) == 12
     assert sum(line.startswith("+ MALLOC_PERTURB_=165 ") for line in proc.stdout.splitlines()) == 3
     assert proc.stdout.endswith("smoke: all checks passed\n")
