@@ -29,11 +29,16 @@ itself beside them. Block b runs in process b mod p, p = helpers + 1, the
 caller being process p - 1: each helper gets its blocks as it starts and
 sends each block's part back on a one-way pipe as soon as the block is done
 (see _run_blocks). Every block, wherever it runs, is one _run_chunk call,
-which also formats the block's samples.csv rows; the caller keeps no text
-(see run_ensemble's rows). Helpers inherit the caller's CPU affinity mask,
-and the kernel places every process within it. A helper's exception is
-raised again in the caller, and a helper that exits owing parts fails the
-run at once, naming the trials of the block it was running.
+which also formats the block's samples.csv rows when the run has a sink for
+them; the caller keeps no text (see run_ensemble's rows). Before its first
+block, each helper pins itself to its share of the caller's affinity mask
+less the CPU the caller is running on (see _cpu_shares); the caller's own
+mask never changes. Left to the kernel, a forked helper was seen to stay on
+its caller's CPU for a whole run, with the other CPU idle, which made a
+2-worker run slower than 1 worker. A helper that cannot be given a share
+runs unpinned. A helper's exception is raised again in the caller, and a
+helper that exits owing parts fails the run at once, naming the trials of
+the block it was running.
 numpy.random is imported with this module, so every forked helper starts
 with it loaded.
 """
@@ -393,35 +398,68 @@ def _sample_rows(lo: int, *columns: np.ndarray) -> str:
     return _SAMPLE_ROW * n % tuple(values)
 
 
-def _run_chunk(cfg: SystemConfig, seed: int, lo: int, hi: int) -> tuple:
+def _run_chunk(cfg: SystemConfig, seed: int, lo: int, hi: int, want_rows: bool) -> tuple:
     """One block, trials lo..hi-1.
 
     Returns _analyze_block's four columns and the block's samples.csv rows,
     which take c_conv and gain elementwise as baseline.conventional forms
-    them. Every block runs here, in the caller or in a helper.
+    them, or None in place of the rows unless want_rows. Every block runs
+    here, in the caller or in a helper.
     """
     keep_block_memory()
     z = _child_normals(seed, lo, hi, _normals_per_trial(cfg))
     cs, no, c1, c2 = _analyze_block(cfg, z, seed, lo)
+    if not want_rows:
+        return cs, no, c1, c2, None
     cc = _clamp(c1) + _clamp(c2)
     return cs, no, c1, c2, _sample_rows(lo, cs, cc, cs - cc, no)
 
 
-def _helper(cfg: SystemConfig, seed: int, blocks: list, conn, inherited) -> None:
-    """Helper process body: run each (lo, hi) of blocks in order.
+def _current_cpu() -> int:
+    """The CPU this thread last ran on: field 39 of /proc/thread-self/stat,
+    counted from the state field, the first after the parenthesized name.
+
+    Raises:
+        OSError: where /proc/thread-self does not exist.
+    """
+    with open("/proc/thread-self/stat", "rb") as f:
+        return int(f.read().rsplit(b")", 1)[1].split()[36])
+
+
+def _cpu_shares(mask: set, cpu: int, helpers: int) -> list:
+    """Each helper's CPUs: helper i gets others[i::helpers], where others is
+    the sorted mask less cpu, the caller's, or the whole mask if that leaves
+    none. helpers <= len(others), as run_ensemble's cap at the mask's CPUs
+    ensures, gives every helper a nonempty share."""
+    cpus = sorted(mask)
+    others = [c for c in cpus if c != cpu] or cpus
+    return [others[i::helpers] for i in range(helpers)]
+
+
+def _helper(
+    cfg: SystemConfig, seed: int, blocks: list, want_rows: bool, cpus, conn, inherited
+) -> None:
+    """Helper process body: pin itself to cpus, unless None, then run each
+    (lo, hi) of blocks in order.
 
     inherited holds the caller's pipe ends that a forked helper got copies
     of; with them closed, the helper finds no reader for a part once the
     caller is gone, and exits. Each block's part goes out on conn as
     (True, part) as soon as the block is done. An exception goes out as
-    (False, exception) and ends the helper.
+    (False, exception) and ends the helper. A helper that cannot pin itself
+    runs unpinned.
     """
     for end in inherited:
         end.close()
+    if cpus is not None:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
     with conn:
         try:
             for lo, hi in blocks:
-                conn.send((True, _run_chunk(cfg, seed, lo, hi)))
+                conn.send((True, _run_chunk(cfg, seed, lo, hi, want_rows)))
         except OSError:
             pass  # the caller is gone, or has failed and reads no part
         except Exception as exc:
@@ -437,18 +475,21 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows) -> lis
 
     With p <= len(blocks) processes, block b runs in process b mod p:
     helper i runs blocks i, i + p, ..., and the caller, process p - 1, runs
-    the rest. A helper gets its blocks as it starts and sends each part back
-    on a one-way pipe as soon as the block is done. A pipe holds about one
-    part, so before each of its own blocks the caller takes the parts that
-    have arrived; then it waits for the parts still owed. Rows go to rows as
-    run_ensemble says, or are dropped with rows None. The columns are
-    allocated at the first part, after every helper has started: a helper
-    forked after them would count their touched pages, all of them under
-    MALLOC_PERTURB_, as its own resident memory. A helper that exits owing
-    parts has failed. A caller that dies closes its pipe ends, and its
-    helpers find no reader for their next part and exit.
+    the rest. Helper i pins itself to share i of _cpu_shares, which leaves
+    out the CPU the caller runs on as the helpers start; with no mask or no
+    readable CPU, helpers run unpinned. A helper gets its blocks as it
+    starts and sends each part back on a one-way pipe as soon as the block
+    is done. A pipe holds about one part, so before each of its own blocks
+    the caller takes the parts that have arrived; then it waits for the
+    parts still owed. Rows go to rows as run_ensemble says; with rows None,
+    no block formats any. The columns are allocated at the first part,
+    after every helper has started: a helper forked after them would count
+    their touched pages, all of them under MALLOC_PERTURB_, as its own
+    resident memory. A helper that exits owing parts has failed. A caller
+    that dies closes its pipe ends, and its helpers find no reader for
+    their next part and exit.
     """
-    helpers = p - 1
+    helpers, want_rows = p - 1, rows is not None
     columns = []
     # rows of blocks that finished before an earlier block, by block
     held = {}
@@ -497,13 +538,17 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows) -> lis
     try:
         if helpers:
             ctx = get_context(_START_METHOD)
+            try:
+                shares = _cpu_shares(os.sched_getaffinity(0), _current_cpu(), helpers)
+            except (AttributeError, OSError):
+                shares = [None] * helpers
             for i in range(helpers):
                 conn, child = ctx.Pipe(duplex=False)
                 conns.append(conn)
                 owed.append(list(range(i, len(blocks), p)))
                 # a forked helper closes its copies of the caller's ends
                 inherited = conns[:] if _START_METHOD == "fork" else []
-                args = (cfg, seed, blocks[i::p], child, inherited)
+                args = (cfg, seed, blocks[i::p], want_rows, shares[i], child, inherited)
                 with child:  # the helper holds the only other end once started
                     proc = ctx.Process(target=_helper, args=args)
                     proc.start()
@@ -511,7 +556,7 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows) -> lis
         for b in range(helpers, len(blocks), p):
             for i in range(helpers):
                 collect(i)
-            take(b, _run_chunk(cfg, seed, *blocks[b]))
+            take(b, _run_chunk(cfg, seed, *blocks[b], want_rows))
         while any(owed):
             # loaded here, with the helpers: sdof, single and verify never need it
             from multiprocessing.connection import wait
@@ -664,12 +709,19 @@ def samples_file(outdir):
         NotADirectoryError: if outdir, or an ancestor on the way to the
             nearest existing directory, is some other file, so that no run
             starts whose outputs cannot be written.
+        IsADirectoryError: if one of write_outputs' four file names in an
+            existing outdir is taken by a directory, for the same reason.
     """
     where = Path(outdir)
     while not where.is_dir() and where != where.parent:
         if os.path.lexists(where):
             raise NotADirectoryError(f"cannot write into {outdir}: {where} is not a directory")
         where = where.parent
+    if where == Path(outdir):
+        for name in ("samples.csv", "outage.csv", "histogram.csv", "manifest.json"):
+            taken = where / name
+            if taken.is_dir():
+                raise IsADirectoryError(f"cannot write into {outdir}: {taken} is a directory")
     path = where / f".samples-{os.urandom(6).hex()}.csv.tmp"
     try:
         with open(path, "x", encoding="ascii", newline="") as f:

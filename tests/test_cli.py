@@ -171,22 +171,42 @@ def test_ensemble_rerun_is_byte_identical(cfg_file, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_failed_rerun_leaves_no_stale_manifest(cfg_file, tmp_path, capsys):
+def _no_trial(*block):
+    raise AssertionError(f"a trial ran: {block}")
+
+
+def test_failed_rerun_leaves_no_stale_manifest(cfg_file, tmp_path, capsys, monkeypatch):
     out = tmp_path / "mixed"
     args = ["ensemble", "--config", cfg_file, "--out", str(out)]
     assert main(args + ["--trials", "500", "--seed", "1"]) == 0
     (out / "histogram.csv").unlink()
     (out / "histogram.csv").mkdir()  # the rerun cannot write it
+    before = {name: (out / name).read_bytes() for name in ("samples.csv", "manifest.json")}
     capsys.readouterr()
-    assert main(args + ["--trials", "900", "--seed", "2"]) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    # so it fails before its first trial, and the 500-trial run's files stay
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "_run_chunk", _no_trial)
+        assert main(args + ["--trials", "900", "--seed", "2"]) == 2
+    taken = out / "histogram.csv"
+    assert capsys.readouterr().err == f"error: cannot write into {out}: {taken} is a directory\n"
+    assert len((out / "samples.csv").read_text().splitlines()) == 501
+    assert {name: (out / name).read_bytes() for name in before} == before
+    # write_outputs, called after a run, fails at the same file, and leaves
+    # no manifest that describes the 500-trial run beside the new samples
+    with pytest.raises(IsADirectoryError):
+        mc.write_outputs(mc.run_ensemble(SystemConfig(4, 6, 20.0, 30.0), 900, 2), out)
     assert len((out / "samples.csv").read_text().splitlines()) == 901
-    # no manifest describes the 500-trial seed-1 run beside the new samples
     assert not (out / "manifest.json").exists()
 
 
-def _no_trial(*block):
-    raise AssertionError(f"a trial ran: {block}")
+@pytest.mark.parametrize("name", ["samples.csv", "outage.csv", "histogram.csv", "manifest.json"])
+def test_output_name_taken_by_a_directory_fails_before_any_trial(name, tmp_path):
+    (tmp_path / name).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(IsADirectoryError, match=re.escape(f"{tmp_path / name} is a directory")):
+        with mc.samples_file(tmp_path):
+            pass
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("where", ["afile", "afile/sub"])
@@ -729,8 +749,8 @@ _glibc_only = pytest.mark.skipif(
 def test_run_chunk_keeps_block_memory(cfg, bound):
     # one warm block, then 16 measured blocks
     faults = _minor_faults(
-        f"from steepsim import mc\nmc._run_chunk({cfg}, 1, 0, 512)",
-        f"for lo in range(512, 8704, 512):\n    mc._run_chunk({cfg}, 1, lo, lo + 512)",
+        f"from steepsim import mc\nmc._run_chunk({cfg}, 1, 0, 512, True)",
+        f"for lo in range(512, 8704, 512):\n    mc._run_chunk({cfg}, 1, lo, lo + 512, True)",
     )
     assert faults < bound
 

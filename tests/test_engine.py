@@ -137,8 +137,8 @@ _FORKED = pytest.mark.skipif(
 
 # 2 workers start a helper only where the affinity mask has 2 CPUs or more.
 # On a 1-CPU host, the tests here and the child interpreters they start see
-# a second CPU beside the real one. Nothing pins a process, so the caller and
-# its helper then share the real CPU.
+# a second CPU beside the real one. A helper whose share is that CPU cannot
+# pin itself, so it runs unpinned and shares the real CPU with the caller.
 _TWO_CPUS = """
 import os
 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
@@ -205,10 +205,10 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
             sizes[-1] += 1
             return self.ctx.Process(target=target, args=args)
 
-    def run_chunk(cfg, seed, lo, hi):
+    def run_chunk(cfg, seed, lo, hi, want_rows):
         with open(blocks, "a", encoding="ascii") as f:
             f.write(f"{os.getpid()} {lo} {hi}\n")
-        return _run_chunk(cfg, seed, lo, hi)
+        return _run_chunk(cfg, seed, lo, hi, want_rows)
 
     monkeypatch.setattr(mc, "BLOCK_TRIALS", 1)
     monkeypatch.setattr(mc, "get_context", StandInContext)
@@ -284,11 +284,11 @@ def test_spawned_workers_match_one_worker(monkeypatch):
     monkeypatch.setattr(mc, "_START_METHOD", "spawn")
     run_chunk, caller, ran_here = _run_chunk, os.getpid(), []
 
-    def forked_chunk(cfg, seed, lo, hi):
+    def forked_chunk(cfg, seed, lo, hi, want_rows):
         if os.getpid() != caller:
             raise AssertionError("a forked helper ran this process's _run_chunk")
         ran_here.append(lo)
-        return run_chunk(cfg, seed, lo, hi)
+        return run_chunk(cfg, seed, lo, hi, want_rows)
 
     # a spawned helper imports steepsim.mc afresh and never sees this patch
     monkeypatch.setattr(mc, "_run_chunk", forked_chunk)
@@ -299,45 +299,88 @@ def test_spawned_workers_match_one_worker(monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-# each helper runs a fixed stride of blocks with the caller's mask
+# each helper pins itself to its share of the caller's mask, which leaves out
+# the CPU the caller runs on, and runs a fixed stride of blocks there
 
 _MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-
-
-@pytest.mark.skipif(
+_PLACED = pytest.mark.skipif(
     len(_MASK) < 2 or mc._START_METHOD != "fork",
     reason="needs 2 CPUs, affinity masks and forked helpers",
 )
-@pytest.mark.parametrize("workers", [2, 3])
-def test_helpers_run_a_fixed_stride(workers, tmp_path, monkeypatch):
-    # two blocks for each worker and a partial one. The mask caps the
-    # processes at its CPUs, p of them; block b runs in process b mod p, and
-    # the caller is the last process
+
+
+@pytest.mark.parametrize("mask", [{0}, {0, 1}, set(range(8))])
+@pytest.mark.parametrize("cpu", [0, 1, 3, 9])
+def test_cpu_shares_leave_out_the_callers_cpu(mask, cpu):
+    # the caller's CPU inside the mask and outside it
+    others = sorted(mask - {cpu}) or sorted(mask)
+    for helpers in range(1, min(7, len(others)) + 1):
+        shares = mc._cpu_shares(mask, cpu, helpers)
+        assert len(shares) == helpers and all(shares), helpers
+        held = [c for share in shares for c in share]
+        # disjoint, and together the mask less the caller's CPU
+        assert sorted(held) == others and len(set(held)) == len(held), helpers
+        if mask - {cpu}:
+            assert cpu not in held, helpers
+    assert mc._cpu_shares(set(range(8)), 3, 3) == [[0, 4, 7], [1, 5], [2, 6]]
+
+
+def _placed_run(tmp_path, monkeypatch, workers: int):
+    """A streamed run of two blocks per worker and a partial one, each block
+    logging its process and that process's mask. Asserts that block b ran in
+    process b mod p, that the caller's mask is the same after the run and
+    that samples.csv is 1 worker's; returns the log by first trial and the
+    pids of processes 0..p-1."""
     cfg, trials = _cfg(), 2 * workers * BLOCK_TRIALS + 7
     p = min(workers, len(_MASK))
-    want = run_ensemble(cfg, trials=trials, seed=2)
+    _streamed(tmp_path / "want", cfg, trials, 2)
     log = tmp_path / "blocks.txt"
 
-    def run_chunk(cfg, seed, lo, hi):
+    def run_chunk(cfg, seed, lo, hi, want_rows):
         # runs in the caller and in forked helpers
         with open(log, "a", encoding="ascii") as f:
             f.write(" ".join(map(str, [os.getpid(), lo, *sorted(os.sched_getaffinity(0))])) + "\n")
-        return _run_chunk(cfg, seed, lo, hi)
+        return _run_chunk(cfg, seed, lo, hi, want_rows)
 
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
     before = os.sched_getaffinity(0)
-    got = run_ensemble(cfg, trials=trials, seed=2, workers=workers)
+    _streamed(tmp_path / "got", cfg, trials, 2, workers)
     assert os.sched_getaffinity(0) == before
     ran = {lo: (pid, cpus) for pid, lo, *cpus in _log_lines(log)}
     assert sorted(ran) == list(range(0, trials, BLOCK_TRIALS))
     pids = [ran[i * BLOCK_TRIALS][0] for i in range(p)]
     assert pids[-1] == os.getpid() and len(set(pids)) == p
-    assert len({pid for pid, _ in ran.values()}) == p
-    # every block runs with the caller's whole mask: nothing pins a process
+    for lo, (pid, _) in ran.items():
+        assert pid == pids[lo // BLOCK_TRIALS % p], f"block at trial {lo}"
+    assert _samples_csv(tmp_path / "got") == _samples_csv(tmp_path / "want")
+    return ran, pids
+
+
+@_PLACED
+@pytest.mark.parametrize("workers", [2, 3])
+def test_helpers_run_a_fixed_stride(workers, tmp_path, monkeypatch):
+    # the mask caps the processes at its CPUs, p of them, and the caller is
+    # the last process. With the caller on the mask's first CPU, helper i
+    # runs on share i of the rest, the caller on the whole mask
+    monkeypatch.setattr(mc, "_current_cpu", lambda: _MASK[0])
+    ran, pids = _placed_run(tmp_path, monkeypatch, workers)
+    shares = mc._cpu_shares(set(_MASK), _MASK[0], len(pids) - 1) + [_MASK]
     for lo, (pid, cpus) in ran.items():
-        i = lo // BLOCK_TRIALS % p
-        assert (pid, cpus) == (pids[i], sorted(before)), f"block at trial {lo}"
-    assert got.c_steep.tobytes() == want.c_steep.tobytes()
+        assert cpus == shares[pids.index(pid)], f"block at trial {lo}"
+    assert all(_MASK[0] not in share for share in shares[:-1])
+
+
+@_PLACED
+@pytest.mark.parametrize("failing", ["_current_cpu", "sched_setaffinity"])
+def test_helpers_that_cannot_pin_run_unpinned(failing, tmp_path, monkeypatch):
+    # a CPU that cannot be read, or a mask that cannot be set, leaves every
+    # process on the caller's whole mask, with the same bytes
+    def refuse(*args):
+        raise OSError("refused")
+
+    monkeypatch.setattr(mc if failing == "_current_cpu" else os, failing, refuse)
+    ran, _ = _placed_run(tmp_path, monkeypatch, 2)
+    assert {tuple(cpus) for _, cpus in ran.values()} == {tuple(_MASK)}
 
 
 # a helper that dies, as under the OOM killer, fails the run at once. The run
@@ -695,7 +738,7 @@ def test_engine_matches_scalar_api(n_A, n_E, convention, gamma, P_A_dB, P_B_dB, 
     )
     # an infeasible budget is rejected before any trial runs
     assume(convention is PowerConvention.REFERENCE_PB_PRIME or cfg.P_B > n_A / cfg.P_A)
-    got = _run_chunk(cfg, seed, start, start + count)
+    got = _run_chunk(cfg, seed, start, start + count, False)
     for i in range(count):
         want = reference_trial(cfg, seed, start + i)
         cs, flag, c1, c2 = (col[i] for col in got[:4])

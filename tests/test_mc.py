@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -214,6 +215,31 @@ def test_written_samples_identical_across_worker_counts(tmp_path, small_ensemble
     write_outputs(par, d2)
     assert (d1 / "samples.csv").read_bytes() == (d2 / "samples.csv").read_bytes()
     assert (d1 / "outage.csv").read_bytes() == (d2 / "outage.csv").read_bytes()
+
+
+# a library run with no row sink formats no rows, in the caller or in a
+# helper, and its result equals a streamed run's field for field
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_without_a_sink_formats_no_rows(workers, tmp_path, monkeypatch):
+    cfg, trials = _cfg(n_E=6, P_B_dB=20.0), 2 * mc.BLOCK_TRIALS + 7
+    with samples_file(tmp_path) as rows:
+        want = run_ensemble(cfg, trials=trials, seed=3, workers=workers, rows=rows)
+
+    def no_rows(*columns):
+        raise AssertionError("samples.csv rows formatted without a sink")
+
+    monkeypatch.setattr(mc, "_sample_rows", no_rows)
+    got = run_ensemble(cfg, trials=trials, seed=3, workers=workers)
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "histograms":
+            assert a.keys() == b.keys()
+            for name in a:
+                assert all(np.array_equal(x, y) for x, y in zip(a[name], b[name])), name
+        elif isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        elif f.name != "elapsed":
+            assert a == b, f.name
 
 
 # rows formatted where each block ran and streamed to samples.csv: 1031
