@@ -31,14 +31,15 @@ sends each block's part back on a one-way pipe as soon as the block is done
 (see _run_blocks). Every block, wherever it runs, is one _run_chunk call,
 which also formats the block's samples.csv rows when the run has a sink for
 them; the caller keeps no text (see run_ensemble's rows). Before its first
-block, each helper pins itself to its share of the caller's affinity mask
-less the CPU the caller is running on (see _cpu_shares); the caller's own
-mask never changes. Left to the kernel, a forked helper was seen to stay on
-its caller's CPU for a whole run, with the other CPU idle, which made a
-2-worker run slower than 1 worker. A helper that cannot be given a share
-runs unpinned. A helper's exception is raised again in the caller, and a
-helper that exits owing parts fails the run at once, naming the trials of
-the block it was running.
+block, each helper pins itself to the caller's affinity mask less the CPU
+the caller is running on (see _helper_cpus), and the kernel balances the
+helpers over those CPUs; the caller's own mask never changes. Left to the
+kernel, a forked helper was seen to stay on its caller's CPU for a whole
+run, with the other CPU idle, which made a 2-worker run slower than 1
+worker. A helper that cannot be pinned runs unpinned. A helper's
+exception is raised again in the caller, and a helper that exits owing
+parts fails the run at once, naming the trials of the block it was
+running.
 numpy.random is imported with this module, so every forked helper starts
 with it loaded.
 """
@@ -426,14 +427,11 @@ def _current_cpu() -> int:
         return int(f.read().rsplit(b")", 1)[1].split()[36])
 
 
-def _cpu_shares(mask: set, cpu: int, helpers: int) -> list:
-    """Each helper's CPUs: helper i gets others[i::helpers], where others is
-    the sorted mask less cpu, the caller's, or the whole mask if that leaves
-    none. helpers <= len(others), as run_ensemble's cap at the mask's CPUs
-    ensures, gives every helper a nonempty share."""
+def _helper_cpus(mask: set, cpu: int) -> list:
+    """The CPUs every helper pins itself to: the sorted mask less cpu, the
+    caller's, or the whole mask if that leaves none."""
     cpus = sorted(mask)
-    others = [c for c in cpus if c != cpu] or cpus
-    return [others[i::helpers] for i in range(helpers)]
+    return [c for c in cpus if c != cpu] or cpus
 
 
 def _helper(
@@ -469,25 +467,25 @@ def _helper(
                 pass
 
 
-def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows) -> list:
+def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows, mask) -> list:
     """The four columns of _run_chunk's parts over all (lo, hi) of blocks,
     each one run-length array that every part is copied into.
 
     With p <= len(blocks) processes, block b runs in process b mod p:
     helper i runs blocks i, i + p, ..., and the caller, process p - 1, runs
-    the rest. Helper i pins itself to share i of _cpu_shares, which leaves
-    out the CPU the caller runs on as the helpers start; with no mask or no
-    readable CPU, helpers run unpinned. A helper gets its blocks as it
-    starts and sends each part back on a one-way pipe as soon as the block
-    is done. A pipe holds about one part, so before each of its own blocks
-    the caller takes the parts that have arrived; then it waits for the
-    parts still owed. Rows go to rows as run_ensemble says; with rows None,
-    no block formats any. The columns are allocated at the first part,
-    after every helper has started: a helper forked after them would count
-    their touched pages, all of them under MALLOC_PERTURB_, as its own
-    resident memory. A helper that exits owing parts has failed. A caller
-    that dies closes its pipe ends, and its helpers find no reader for
-    their next part and exit.
+    the rest. Every helper pins itself to _helper_cpus of mask, the caller's
+    affinity mask, which leaves out the CPU the caller runs on as the
+    helpers start; with mask None or no readable CPU, helpers run
+    unpinned. A helper gets its blocks as it starts and sends each part
+    back on a one-way pipe as soon as the block is done. A pipe holds about
+    one part, so before each of its own blocks the caller takes the parts
+    that have arrived; then it waits for the parts still owed. Rows go to
+    rows as run_ensemble says; with rows None, no block formats any. The
+    columns are allocated at the first part, after every helper has
+    started: a helper forked after them would count their touched pages,
+    all of them under MALLOC_PERTURB_, as its own resident memory. A helper
+    that exits owing parts has failed. A caller that dies closes its pipe
+    ends, and its helpers find no reader for their next part and exit.
     """
     helpers, want_rows = p - 1, rows is not None
     columns = []
@@ -539,16 +537,16 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows) -> lis
         if helpers:
             ctx = get_context(_START_METHOD)
             try:
-                shares = _cpu_shares(os.sched_getaffinity(0), _current_cpu(), helpers)
-            except (AttributeError, OSError):
-                shares = [None] * helpers
+                cpus = None if mask is None else _helper_cpus(mask, _current_cpu())
+            except OSError:
+                cpus = None
             for i in range(helpers):
                 conn, child = ctx.Pipe(duplex=False)
                 conns.append(conn)
                 owed.append(list(range(i, len(blocks), p)))
                 # a forked helper closes its copies of the caller's ends
                 inherited = conns[:] if _START_METHOD == "fork" else []
-                args = (cfg, seed, blocks[i::p], want_rows, shares[i], child, inherited)
+                args = (cfg, seed, blocks[i::p], want_rows, cpus, child, inherited)
                 with child:  # the helper holds the only other end once started
                     proc = ctx.Process(target=_helper, args=args)
                     proc.start()
@@ -647,10 +645,11 @@ def run_ensemble(
     # mask's CPUs - 1 would share a CPU that a fixed stride cannot relieve
     p = min(workers, len(blocks))
     try:
-        p = min(p, len(os.sched_getaffinity(0)))
+        mask = os.sched_getaffinity(0)
+        p = min(p, len(mask))
     except (AttributeError, OSError):
-        pass  # a platform without affinity masks sets no cap
-    cs, no, c1, c2 = _run_blocks(cfg, seed, blocks, p, rows)
+        mask = None  # a platform without affinity masks sets no cap and pins no helper
+    cs, no, c1, c2 = _run_blocks(cfg, seed, blocks, p, rows, mask)
     # baseline.conventional's c_conv and gain, formed here, not sent by helpers
     cc = _clamp(c1) + _clamp(c2)
     gn = cs - cc
@@ -710,7 +709,10 @@ def samples_file(outdir):
             nearest existing directory, is some other file, so that no run
             starts whose outputs cannot be written.
         IsADirectoryError: if one of write_outputs' four file names in an
-            existing outdir is taken by a directory, for the same reason.
+            existing outdir is taken by a directory, for the same reason: a
+            real one for samples.csv and manifest.json, which are replaced
+            and removed as names, or a link to one for outage.csv and
+            histogram.csv, which are opened for writing.
     """
     where = Path(outdir)
     while not where.is_dir() and where != where.parent:
@@ -720,7 +722,8 @@ def samples_file(outdir):
     if where == Path(outdir):
         for name in ("samples.csv", "outage.csv", "histogram.csv", "manifest.json"):
             taken = where / name
-            if taken.is_dir():
+            opened = name in ("outage.csv", "histogram.csv")
+            if taken.is_dir() and (opened or not taken.is_symlink()):
                 raise IsADirectoryError(f"cannot write into {outdir}: {taken} is a directory")
     path = where / f".samples-{os.urandom(6).hex()}.csv.tmp"
     try:

@@ -209,6 +209,30 @@ def test_output_name_taken_by_a_directory_fails_before_any_trial(name, tmp_path)
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("name", ["samples.csv", "outage.csv", "histogram.csv", "manifest.json"])
+def test_output_name_linked_to_a_directory(name, cfg_file, tmp_path, capsys, monkeypatch):
+    # samples.csv and manifest.json are replaced and removed as names, so a
+    # link there to a directory gives way to the new file; outage.csv and
+    # histogram.csv are opened for writing through the link, so a link there
+    # fails the run before its first trial
+    target = tmp_path / "target"
+    target.mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to(target, target_is_directory=True)
+    args = ["ensemble", "--config", cfg_file, "--trials", "50", "--out", str(out)]
+    if name in ("outage.csv", "histogram.csv"):
+        monkeypatch.setattr(mc, "_run_chunk", _no_trial)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write into {out}: {out / name} is a directory\n"
+        assert (out / name).is_symlink()
+    else:
+        assert main(args) == 0
+        assert (out / name).is_file() and not (out / name).is_symlink()
+    assert list(target.iterdir()) == []
+
+
 @pytest.mark.parametrize("where", ["afile", "afile/sub"])
 def test_ensemble_out_under_a_file_fails_before_any_trial(
     where, cfg_file, tmp_path, capsys, monkeypatch

@@ -137,7 +137,7 @@ _FORKED = pytest.mark.skipif(
 
 # 2 workers start a helper only where the affinity mask has 2 CPUs or more.
 # On a 1-CPU host, the tests here and the child interpreters they start see
-# a second CPU beside the real one. A helper whose share is that CPU cannot
+# a second CPU beside the real one. A helper pinned to that CPU alone cannot
 # pin itself, so it runs unpinned and shares the real CPU with the caller.
 _TWO_CPUS = """
 import os
@@ -299,8 +299,8 @@ def test_spawned_workers_match_one_worker(monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-# each helper pins itself to its share of the caller's mask, which leaves out
-# the CPU the caller runs on, and runs a fixed stride of blocks there
+# every helper pins itself to the caller's mask less the CPU the caller runs
+# on, and runs a fixed stride of blocks there
 
 _MASK = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 _PLACED = pytest.mark.skipif(
@@ -311,18 +311,13 @@ _PLACED = pytest.mark.skipif(
 
 @pytest.mark.parametrize("mask", [{0}, {0, 1}, set(range(8))])
 @pytest.mark.parametrize("cpu", [0, 1, 3, 9])
-def test_cpu_shares_leave_out_the_callers_cpu(mask, cpu):
-    # the caller's CPU inside the mask and outside it
-    others = sorted(mask - {cpu}) or sorted(mask)
-    for helpers in range(1, min(7, len(others)) + 1):
-        shares = mc._cpu_shares(mask, cpu, helpers)
-        assert len(shares) == helpers and all(shares), helpers
-        held = [c for share in shares for c in share]
-        # disjoint, and together the mask less the caller's CPU
-        assert sorted(held) == others and len(set(held)) == len(held), helpers
-        if mask - {cpu}:
-            assert cpu not in held, helpers
-    assert mc._cpu_shares(set(range(8)), 3, 3) == [[0, 4, 7], [1, 5], [2, 6]]
+def test_helper_cpus_leave_out_the_callers_cpu(mask, cpu):
+    # the caller's CPU inside the mask and outside it: the mask less that
+    # CPU, or the whole mask if that leaves none
+    cpus = mc._helper_cpus(mask, cpu)
+    assert cpus == (sorted(mask - {cpu}) or sorted(mask))
+    if mask - {cpu}:
+        assert cpu not in cpus
 
 
 def _placed_run(tmp_path, monkeypatch, workers: int):
@@ -360,14 +355,13 @@ def _placed_run(tmp_path, monkeypatch, workers: int):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_helpers_run_a_fixed_stride(workers, tmp_path, monkeypatch):
     # the mask caps the processes at its CPUs, p of them, and the caller is
-    # the last process. With the caller on the mask's first CPU, helper i
-    # runs on share i of the rest, the caller on the whole mask
+    # the last process. With the caller on the mask's first CPU, every
+    # helper runs on the rest of the mask, the caller on the whole mask
     monkeypatch.setattr(mc, "_current_cpu", lambda: _MASK[0])
     ran, pids = _placed_run(tmp_path, monkeypatch, workers)
-    shares = mc._cpu_shares(set(_MASK), _MASK[0], len(pids) - 1) + [_MASK]
     for lo, (pid, cpus) in ran.items():
-        assert cpus == shares[pids.index(pid)], f"block at trial {lo}"
-    assert all(_MASK[0] not in share for share in shares[:-1])
+        want = _MASK if pid == pids[-1] else _MASK[1:]
+        assert cpus == want, f"block at trial {lo}"
 
 
 @_PLACED
