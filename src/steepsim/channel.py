@@ -38,7 +38,8 @@ POWER_DB_LIMIT = 100.0
 # sigma2_B=1e-300)
 VARIANCE_LIMIT = 1e100
 # bound on n_A and n_E. At 32 each, an ensemble block of 512 trials holds
-# G_A and the Gram matrix in 8.4 MB each (16*512*32*32 bytes), and verify's
+# G_A in 8.4 MB (16*512*32*32 bytes), its draw in 9.2 MB and the bordered
+# Gram matrix in 8.9 MB, and peaks at 28 MB under tracemalloc; verify's
 # draw buffer for its longest run, 10^7 symbols, takes 10.4 GB
 # (16*(n_A + n_E + 1) bytes per symbol); n_A = n_E = 20000 asked for 2.98
 # GiB for one realization's G_A, and n_A = n_E = 3000 for ~69 GiB per block

@@ -21,27 +21,31 @@ beta = ||h_BA||^2 - q, when n_A > n_E. Both have a Schur complement of
 The block code calls the same numpy, BLAS and LAPACK primitives per trial as
 the scalar API, so every float equals the scalar result bit for bit. After
 _run_chunk's linops.keep_block_memory call, each block reuses the heap the
-last freed.
+last freed. A block frees its draw once the four responses are built, and
+_beta scales G_A in place, which keeps the block's working set small.
 
-With w workers, the caller starts w - 1 helper processes (forked on Linux),
-never more than blocks - 1 or the affinity mask's CPUs - 1, and runs blocks
-itself beside them. Block b runs in process b mod p, p = helpers + 1, the
-caller being process p - 1: each helper gets its blocks as it starts and
-sends each block's part back on a one-way pipe as soon as the block is done
-(see _run_blocks). Every block, wherever it runs, is one _run_chunk call,
-which also formats the block's samples.csv rows when the run has a sink for
-them; the caller keeps no text (see run_ensemble's rows). Before its first
-block, each helper pins itself to the caller's affinity mask less the CPU
-the caller is running on (see _helper_cpus), and the kernel balances the
-helpers over those CPUs; the caller's own mask never changes. Left to the
-kernel, a forked helper was seen to stay on its caller's CPU for a whole
-run, with the other CPU idle, which made a 2-worker run slower than 1
-worker. A helper that cannot be pinned runs unpinned. A helper's
+With w workers, the caller starts w - 1 helper processes, never more than
+blocks - 1 or the affinity mask's CPUs - 1, and runs blocks itself beside
+them. On Linux each helper is started by one os.fork and gets one os.pipe;
+elsewhere multiprocessing starts it, as macOS spawns and Windows has no
+fork (see _start_helper). Block b runs in process b mod p, p = helpers + 1,
+the caller being process p - 1: each helper gets its blocks as it starts
+and sends each block's part back on its one-way pipe as soon as the block
+is done (see _run_blocks). Every block, wherever it runs, is one _run_chunk
+call, which also formats the block's samples.csv rows when the run has a
+sink for them; the caller keeps no text (see run_ensemble's rows). Before
+its first block, each helper pins itself to the caller's affinity mask less
+the CPU the caller is running on (see _helper_cpus), and the kernel
+balances the helpers over those CPUs; the caller's own mask never changes.
+Left to the kernel, a forked helper was seen to stay on its caller's CPU
+for a whole run, with the other CPU idle, which made a 2-worker run slower
+than 1 worker. A helper that cannot be pinned runs unpinned. A helper's
 exception is raised again in the caller, and a helper that exits owing
 parts fails the run at once, naming the trials of the block it was
-running.
+running. A forked helper leaves through os._exit, so it never runs the
+caller's cleanup.
 numpy.random is imported with this module, so every forked helper starts
-with it loaded.
+with it loaded; multiprocessing is not, and a Linux run never loads it.
 """
 from __future__ import annotations
 
@@ -49,11 +53,13 @@ import ctypes
 import json
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +85,10 @@ MAX_TRIALS = 2**32
 # starts no more processes than the affinity mask has CPUs; where a platform
 # has no masks, the bound keeps a mistyped count from forking thousands
 MAX_WORKERS = 256
-# helpers fork on Linux, inheriting the loaded modules; elsewhere they start
-# the platform's default way: macOS deems fork unsafe and Windows has none
+# helpers start by one os.fork each on Linux, inheriting the loaded modules;
+# elsewhere multiprocessing starts them the platform's default way: macOS
+# deems fork unsafe and Windows has none. Any value but "fork" is a
+# multiprocessing start method, None its default.
 _START_METHOD = "fork" if sys.platform == "linux" else None
 
 
@@ -319,22 +327,30 @@ def _clamp(x: np.ndarray) -> np.ndarray:
 
 def _beta(cfg: SystemConfig, h_BA: np.ndarray, G_A: np.ndarray, nh_BA: np.ndarray) -> np.ndarray:
     """steep.beta per trial, by the same route; nh_BA holds the squared
-    norms of h_BA's rows."""
+    norms of h_BA's rows.
+
+    G_A is scaled in place into g = sqrt(scale)*G_A, the same bits as the
+    product, and so is no longer G_A afterwards.
+    """
     k, n_E, n_A = G_A.shape
-    g = math.sqrt(cfg.P_A / (cfg.n_A * cfg.sigma2_EA)) * G_A
+    g = G_A
+    g *= math.sqrt(cfg.P_A / (cfg.n_A * cfg.sigma2_EA))
+    gc = g.conj()
     # each Gram goes straight into its bordered matrix, which keeps the
     # block's peak memory down
     if n_A <= n_E:
         a = np.zeros((k, n_A + 1, n_A + 1), dtype=complex)
-        np.matmul(g.conj().swapaxes(1, 2), g, out=a[:, :n_A, :n_A])
+        np.matmul(gc.swapaxes(1, 2), g, out=a[:, :n_A, :n_A])
+        del gc
         a[:, range(n_A), range(n_A)] += 1.0
         a[:, n_A, :n_A] = h_BA
         a[:, n_A, n_A] = 1.0 + nh_BA
         return _norm2(np.linalg.cholesky(a)[:, n_A, :n_A])
     b = np.zeros((k, n_E + 1, n_E + 1), dtype=complex)
-    np.matmul(g, g.conj().swapaxes(1, 2), out=b[:, :n_E, :n_E])
+    np.matmul(g, gc.swapaxes(1, 2), out=b[:, :n_E, :n_E])
     b[:, range(n_E), range(n_E)] += 1.0
-    b[:, n_E, :n_E] = (g.conj() @ h_BA[:, :, None])[:, :, 0]
+    b[:, n_E, :n_E] = (gc @ h_BA[:, :, None])[:, :, 0]
+    del gc
     b[:, n_E, n_E] = 1.0 + nh_BA
     return nh_BA - _norm2(np.linalg.cholesky(b)[:, n_E, :n_E])
 
@@ -353,6 +369,7 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
         DegenerateChannelError: if a response of some trial has zero norm.
     """
     h_BA, w, g_B, G_A = (cn_from_normals(re, im) for re, im in cn_parts(z, _draw_shapes(cfg)))
+    del z  # with _run_chunk holding no reference, the draw is freed here
     h_AB = cfg.gamma * h_BA + (1.0 - cfg.gamma) * w
     nh_BA, nh_AB, ng_B = _norm2(h_BA), _norm2(h_AB), _norm2(g_B)
     bad = np.column_stack([nh_BA == 0.0, nh_AB == 0.0, ~G_A.any(axis=(1, 2)), ng_B == 0.0])
@@ -362,6 +379,9 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
         raise DegenerateChannelError(
             f"trial {start + i} of seed {seed}: degenerate draw: {name} has zero norm"
         )
+
+    # baseline.conventional's g_A, formed before _beta scales G_A in place
+    g_A = (G_A @ (h_BA.conj() / np.sqrt(nh_BA)[:, None])[:, :, None])[:, :, 0]
 
     # steep.c_steep
     p_b_prime = reference_power(cfg, nh_BA)
@@ -373,7 +393,6 @@ def _analyze_block(cfg: SystemConfig, z: np.ndarray, seed: int, start: int) -> t
     cs = _clamp(_log2_ratio(diff / (var_a * (1.0 + var_e)), 1.0 / var_a, 1.0 / var_e))
 
     # baseline.conventional
-    g_A = (G_A @ (h_BA.conj() / np.sqrt(nh_BA)[:, None])[:, :, None])[:, :, 0]
     snr_B = cfg.P_A * nh_BA / cfg.sigma2_B
     snr_EA = cfg.P_A * _norm2(g_A) / cfg.sigma2_EA
     snr_A = cfg.P_B * nh_AB / cfg.sigma2_A
@@ -408,8 +427,10 @@ def _run_chunk(cfg: SystemConfig, seed: int, lo: int, hi: int, want_rows: bool) 
     here, in the caller or in a helper.
     """
     keep_block_memory()
-    z = _child_normals(seed, lo, hi, _normals_per_trial(cfg))
-    cs, no, c1, c2 = _analyze_block(cfg, z, seed, lo)
+    # the draw is passed, not kept here, so _analyze_block can free it early
+    cs, no, c1, c2 = _analyze_block(
+        cfg, _child_normals(seed, lo, hi, _normals_per_trial(cfg)), seed, lo
+    )
     if not want_rows:
         return cs, no, c1, c2, None
     cc = _clamp(c1) + _clamp(c2)
@@ -434,37 +455,162 @@ def _helper_cpus(mask: set, cpu: int) -> list:
     return [c for c in cpus if c != cpu] or cpus
 
 
-def _helper(
-    cfg: SystemConfig, seed: int, blocks: list, want_rows: bool, cpus, conn, inherited
-) -> None:
+def _helper(cfg: SystemConfig, seed: int, blocks: list, want_rows: bool, cpus, send) -> None:
     """Helper process body: pin itself to cpus, unless None, then run each
-    (lo, hi) of blocks in order.
+    (lo, hi) of blocks in order through _run_chunk.
 
-    inherited holds the caller's pipe ends that a forked helper got copies
-    of; with them closed, the helper finds no reader for a part once the
-    caller is gone, and exits. Each block's part goes out on conn as
-    (True, part) as soon as the block is done. An exception goes out as
-    (False, exception) and ends the helper. A helper that cannot pin itself
-    runs unpinned.
+    Each block's part goes out through send as (True, part) as soon as the
+    block is done. An exception goes out as (False, exception) and ends the
+    helper. An OSError from send means that the caller is gone, or has
+    failed and reads no part, and ends it too. A helper that cannot pin
+    itself runs unpinned.
     """
-    for end in inherited:
-        end.close()
     if cpus is not None:
         try:
             os.sched_setaffinity(0, cpus)
         except OSError:
             pass
-    with conn:
+    try:
+        for lo, hi in blocks:
+            send((True, _run_chunk(cfg, seed, lo, hi, want_rows)))
+    except OSError:
+        pass  # the caller is gone, or has failed and reads no part
+    except Exception as exc:
         try:
-            for lo, hi in blocks:
-                conn.send((True, _run_chunk(cfg, seed, lo, hi, want_rows)))
+            send((False, exc))
         except OSError:
-            pass  # the caller is gone, or has failed and reads no part
-        except Exception as exc:
+            pass
+
+
+def _send(fd: int, message) -> None:
+    """Write message to fd as an 8-byte little-endian length and a pickle."""
+    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """Exactly size bytes from fd; EOFError if the pipe ends first."""
+    buf = bytearray(size)
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError
+        view = view[got:]
+    return buf
+
+
+class _ForkedHelper:
+    """A helper started by one os.fork, seen from the caller: its pid and
+    the read end of its pipe, on which each message arrives as _send writes
+    it. EOF on the pipe means that the helper has exited.
+
+    The helper closes the caller's read ends, its own and those of earlier,
+    the run's helpers started before it, then runs _helper on args. It
+    always leaves through os._exit and never returns into the caller's
+    frames it was forked from, so it never flushes the caller's buffered
+    files, such as its samples_file, nor runs their cleanup. A
+    BaseException, such as KeyboardInterrupt, ends it without a message,
+    which the caller takes for a death.
+    """
+
+    def __init__(self, args: tuple, earlier: list):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            status = 1
             try:
-                conn.send((False, exc))
-            except OSError:
-                pass
+                for end in [r, *(helper.fd for helper in earlier)]:
+                    os.close(end)
+                _helper(*args, lambda message: _send(w, message))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)  # the helper holds the only write end
+        self.pid, self.fd = pid, r
+        self.poller = select.poll()
+        self.poller.register(r, select.POLLIN)
+
+    def poll(self) -> bool:
+        """Whether a message, or EOF, is there to read."""
+        return bool(self.poller.poll(0))
+
+    def recv(self):
+        """The next message; EOFError if the pipe ends before it."""
+        return pickle.loads(_read(self.fd, int.from_bytes(_read(self.fd, 8), "little")))
+
+    def close(self) -> None:
+        """Close the pipe, kill the helper if it still runs, and reap it."""
+        os.close(self.fd)
+        if os.waitpid(self.pid, os.WNOHANG) == (0, 0):
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _spawned_helper(*args) -> None:
+    """Body of a helper started by multiprocessing: _helper, sending on the
+    pipe end that comes last in args."""
+    *args, conn = args
+    with conn:
+        _helper(*args, conn.send)
+
+
+class _SpawnedHelper:
+    """A helper started by multiprocessing with start method _START_METHOD,
+    seen from the caller: its Process and the caller's end of its one-way
+    pipe, which ends once the helper has exited."""
+
+    def __init__(self, args: tuple):
+        # loaded here: Linux forks its helpers and never needs it
+        from multiprocessing import get_context
+
+        ctx = get_context(_START_METHOD)
+        self.conn, child = ctx.Pipe(duplex=False)
+        try:
+            with child:  # the helper holds the only other end once started
+                self.proc = ctx.Process(target=_spawned_helper, args=(*args, child))
+                self.proc.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        self.poll, self.recv = self.conn.poll, self.conn.recv
+
+    def close(self) -> None:
+        self.conn.close()
+        if self.proc.exitcode is None:
+            self.proc.kill()
+        self.proc.join()
+        self.proc.close()
+
+
+def _start_helper(args: tuple, earlier: list):
+    """Start a helper running _helper on args; returns the caller's handle
+    on it, with poll, recv and close: a _ForkedHelper where _START_METHOD is
+    "fork", else a _SpawnedHelper. earlier holds the run's helpers started
+    before it."""
+    if _START_METHOD == "fork":
+        return _ForkedHelper(args, earlier)
+    return _SpawnedHelper(args)
+
+
+def _wait(helpers: list) -> None:
+    """Wait until a message, or EOF, is there to read from one of helpers."""
+    if isinstance(helpers[0], _ForkedHelper):
+        poller = select.poll()
+        for helper in helpers:
+            poller.register(helper.fd, select.POLLIN)
+        poller.poll()
+    else:
+        from multiprocessing.connection import wait
+
+        wait([helper.conn for helper in helpers])
 
 
 def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows, mask) -> list:
@@ -476,25 +622,30 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows, mask) 
     the rest. Every helper pins itself to _helper_cpus of mask, the caller's
     affinity mask, which leaves out the CPU the caller runs on as the
     helpers start; with mask None or no readable CPU, helpers run
-    unpinned. A helper gets its blocks as it starts and sends each part
-    back on a one-way pipe as soon as the block is done. A pipe holds about
-    one part, so before each of its own blocks the caller takes the parts
-    that have arrived; then it waits for the parts still owed. Rows go to
-    rows as run_ensemble says; with rows None, no block formats any. The
+    unpinned. _start_helper starts each helper, by os.fork on Linux and
+    through multiprocessing elsewhere; everything else here is the same on
+    both. A helper gets its blocks as it starts and sends each part back on
+    a one-way pipe as soon as the block is done. A pipe holds about one
+    part, so before each of its own blocks the caller takes the parts that
+    have arrived; then it waits on the pipes that still owe parts. Rows go
+    to rows as run_ensemble says; with rows None, no block formats any. The
     columns are allocated at the first part, after every helper has
     started: a helper forked after them would count their touched pages,
-    all of them under MALLOC_PERTURB_, as its own resident memory. A helper
-    that exits owing parts has failed. A caller that dies closes its pipe
-    ends, and its helpers find no reader for their next part and exit.
+    all of them under MALLOC_PERTURB_, as its own resident memory.
+    A pipe ends when its helper exits, and a helper whose pipe ends while
+    it owes parts has failed. In the end the caller closes every pipe,
+    kills any helper still running and reaps them all, whether the run
+    succeeded or not. A caller that dies closes its pipe ends, and its
+    helpers find no reader for their next part and exit.
     """
     helpers, want_rows = p - 1, rows is not None
     columns = []
     # rows of blocks that finished before an earlier block, by block
     held = {}
     written = 0
-    # per helper: its process, the caller's end of its pipe and its blocks
-    # whose parts have not arrived, oldest first
-    procs, conns, owed = [], [], []
+    # per helper: its handle from _start_helper and its blocks whose parts
+    # have not arrived, oldest first
+    started, owed = [], []
 
     def take(b: int, part: tuple) -> None:
         nonlocal written
@@ -515,63 +666,40 @@ def _run_blocks(cfg: SystemConfig, seed: int, blocks: list, p: int, rows, mask) 
 
     def collect(i: int) -> None:
         """Take helper i's parts that have arrived; raise its exception, or
-        name its death if it has exited owing parts."""
-        # an exited helper's messages are whole in the pipe. The poll keeps
-        # recv from waiting on an empty pipe whose other end a process forked
-        # by another thread (a second run) inherited.
-        exited = procs[i].exitcode is not None
+        name its death if its pipe has ended while it owes parts."""
         while owed[i]:
             try:
-                if not conns[i].poll():
+                if not started[i].poll():
                     break
-                ok, value = conns[i].recv()
+                ok, value = started[i].recv()
             except (EOFError, OSError):
                 raise died(i) from None
             if not ok:
                 raise value
             take(owed[i].pop(0), value)
-        if exited and owed[i]:
-            raise died(i)
 
     try:
         if helpers:
-            ctx = get_context(_START_METHOD)
             try:
                 cpus = None if mask is None else _helper_cpus(mask, _current_cpu())
             except OSError:
                 cpus = None
             for i in range(helpers):
-                conn, child = ctx.Pipe(duplex=False)
-                conns.append(conn)
+                started.append(_start_helper((cfg, seed, blocks[i::p], want_rows, cpus), started))
                 owed.append(list(range(i, len(blocks), p)))
-                # a forked helper closes its copies of the caller's ends
-                inherited = conns[:] if _START_METHOD == "fork" else []
-                args = (cfg, seed, blocks[i::p], want_rows, cpus, child, inherited)
-                with child:  # the helper holds the only other end once started
-                    proc = ctx.Process(target=_helper, args=args)
-                    proc.start()
-                procs.append(proc)
         for b in range(helpers, len(blocks), p):
             for i in range(helpers):
                 collect(i)
             take(b, _run_chunk(cfg, seed, *blocks[b], want_rows))
         while any(owed):
-            # loaded here, with the helpers: sdof, single and verify never need it
-            from multiprocessing.connection import wait
-
-            wait([end for i in range(helpers) if owed[i] for end in (conns[i], procs[i].sentinel)])
+            _wait([helper for helper, left in zip(started, owed) if left])
             for i in range(helpers):
                 collect(i)
         return columns
     finally:
         # a helper still running belongs to a failed run
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            if proc.exitcode is None:
-                proc.kill()
-            proc.join()
-            proc.close()
+        for helper in started:
+            helper.close()
 
 
 def empirical_outage(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:

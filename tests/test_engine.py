@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -189,21 +190,17 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
     write_outputs(want, tmp_path / "want")
     starts, sizes = [], []
     blocks = tmp_path / "blocks.txt"
-    context = mc.get_context
+    start_helper = mc._start_helper
 
-    class StandInContext:
-        """The real context, recording its start method and the number of
-        helper processes started under it."""
-
-        def __init__(self, method):
-            self.ctx = context(method)
-            starts.append(self.ctx.get_start_method())
+    def recording_start(args, earlier):
+        """The real start, recording each run's start method and the number
+        of helper processes it started: a run's first helper has no earlier
+        ones."""
+        if not earlier:
+            starts.append(mc._START_METHOD or multiprocessing.get_start_method())
             sizes.append(0)
-            self.Pipe = self.ctx.Pipe
-
-        def Process(self, target, args):
-            sizes[-1] += 1
-            return self.ctx.Process(target=target, args=args)
+        sizes[-1] += 1
+        return start_helper(args, earlier)
 
     def run_chunk(cfg, seed, lo, hi, want_rows):
         with open(blocks, "a", encoding="ascii") as f:
@@ -211,7 +208,7 @@ def test_pool_capped_at_non_empty_chunks(trials, workers, pool_sizes, tmp_path, 
         return _run_chunk(cfg, seed, lo, hi, want_rows)
 
     monkeypatch.setattr(mc, "BLOCK_TRIALS", 1)
-    monkeypatch.setattr(mc, "get_context", StandInContext)
+    monkeypatch.setattr(mc, "_start_helper", recording_start)
     monkeypatch.setattr(mc, "_run_chunk", run_chunk)
     if hasattr(os, "sched_getaffinity"):
         # 8 CPUs, so that the mask does not cap the helpers at any row here
@@ -243,19 +240,14 @@ def test_helpers_capped_at_the_affinity_mask(mask, handed, tmp_path, monkeypatch
     # without masks sets no cap
     cfg = _cfg()
     write_outputs(run_ensemble(cfg, trials=6, seed=4), tmp_path / "want")
-    context, started = mc.get_context, []
+    start_helper, started = mc._start_helper, []
 
-    class RecordingContext:
-        def __init__(self, method):
-            self.ctx = context(method)
-            self.Pipe = self.ctx.Pipe
-
-        def Process(self, target, args):
-            started.append([lo for lo, _ in args[2]])
-            return self.ctx.Process(target=target, args=args)
+    def recording_start(args, earlier):
+        started.append([lo for lo, _ in args[2]])
+        return start_helper(args, earlier)
 
     monkeypatch.setattr(mc, "BLOCK_TRIALS", 1)
-    monkeypatch.setattr(mc, "get_context", RecordingContext)
+    monkeypatch.setattr(mc, "_start_helper", recording_start)
     if mask is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -267,7 +259,7 @@ def test_helpers_capped_at_the_affinity_mask(mask, handed, tmp_path, monkeypatch
 
 def test_worker_count_bounded(tmp_path, monkeypatch):
     # nothing may start a helper process
-    monkeypatch.setattr(mc, "get_context", None)
+    monkeypatch.setattr(mc, "_start_helper", None)
     with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}"):
         run_ensemble(_cfg(), trials=10**6, seed=1, workers=MAX_WORKERS + 1)
     # one block needs no helper at any worker count
@@ -283,6 +275,11 @@ def test_spawned_workers_match_one_worker(monkeypatch):
     want = run_ensemble(cfg, trials=700, seed=5)
     monkeypatch.setattr(mc, "_START_METHOD", "spawn")
     run_chunk, caller, ran_here = _run_chunk, os.getpid(), []
+    start_helper, started = mc._start_helper, []
+
+    def recording_start(args, earlier):
+        started.append(start_helper(args, earlier))
+        return started[-1]
 
     def forked_chunk(cfg, seed, lo, hi, want_rows):
         if os.getpid() != caller:
@@ -292,11 +289,44 @@ def test_spawned_workers_match_one_worker(monkeypatch):
 
     # a spawned helper imports steepsim.mc afresh and never sees this patch
     monkeypatch.setattr(mc, "_run_chunk", forked_chunk)
+    monkeypatch.setattr(mc, "_start_helper", recording_start)
     got = run_ensemble(cfg, trials=700, seed=5, workers=2)
     # two blocks: the helper runs the first, the caller the second
     assert ran_here == [BLOCK_TRIALS]
+    assert [type(helper) for helper in started] == [mc._SpawnedHelper]
     for name in ("c_steep", "c1", "c2"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+# Linux helpers start by os.fork, so neither importing the CLI nor a
+# multi-worker run loads multiprocessing, which took about 5 ms of a 2-worker
+# call when the run imported it
+_NO_MULTIPROCESSING = _TWO_CPUS + """
+import resource, sys
+from steepsim.cli import main
+
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "multiprocessing"))
+"""
+
+
+@_FORKED
+def test_forked_run_loads_no_multiprocessing(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_A = 16\nn_E = 8\nP_A_dB = 20\nP_B_dB = 30\n")
+    argv = [
+        "ensemble", "--config", str(cfg), "--trials", "1100", "--seed", "9",
+        "--workers", "2", "--out", str(tmp_path / "out"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(mc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MULTIPROCESSING, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # a helper ran and was reaped, and nothing of multiprocessing was loaded
+    assert proc.stdout.splitlines()[-2:] == ["True", "[]"]
 
 
 # every helper pins itself to the caller's mask less the CPU the caller runs
@@ -436,6 +466,36 @@ def test_dead_worker_fails_the_run(entry, tmp_path):
         assert proc.stderr == "error: seed 9: the worker process for trials 0-511 died\n"
         assert proc.stdout == ""
         assert not out.exists()
+
+
+# a helper ended by its own KeyboardInterrupt leaves through os._exit: it
+# never unwinds into the caller's frames it was forked from, which would
+# print a second error or traceback and run the caller's cleanup a second
+# time. The run fails as for a dead helper, and stderr holds that one line.
+_INTERRUPTED_WORKER = _DYING_WORKER.replace(
+    "os.kill(os.getpid(), signal.SIGKILL)", "raise KeyboardInterrupt"
+)
+
+
+@pytest.mark.skipif(mc._START_METHOD != "fork", reason="helpers inherit the chunk by fork")
+def test_interrupted_helper_fails_the_run_quietly(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_A = 4\nn_E = 6\nP_A_dB = 20\nP_B_dB = 30\n")
+    argv = [
+        "ensemble", "--config", str(cfg), "--trials", "1100", "--seed", "9",
+        "--workers", "2", "--out", str(out),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(mc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c", _INTERRUPTED_WORKER, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert "raise KeyboardInterrupt" in _INTERRUPTED_WORKER
+    assert proc.returncode == 2
+    assert proc.stderr == "error: seed 9: the worker process for trials 0-511 died\n"
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 # a caller that dies closes its pipe ends: its helpers find no reader for
@@ -623,7 +683,7 @@ def _disk(root: Path) -> dict:
 @pytest.mark.parametrize("into", ["no directory", "a good run"])
 @pytest.mark.parametrize(
     "failure, workers",
-    [("dying helper", 2), ("helper exception", 2), ("degenerate draw", 1)],
+    [("dying helper", 2), ("interrupted helper", 2), ("helper exception", 2), ("degenerate draw", 1)],
 )
 def test_failed_cli_run_changes_nothing_on_disk(
     failure, workers, into, monkeypatch, capsys, tmp_path
@@ -649,6 +709,19 @@ def test_failed_cli_run_changes_nothing_on_disk(
 
         monkeypatch.setattr(mc, "_run_chunk", dying_chunk)
         message = "seed 9: the worker process for trials 0-511 died"
+    elif failure == "interrupted helper":
+        # a BaseException in the helper alone: the helper must leave without
+        # unwinding into this process's frames, which would flush or remove
+        # the caller's temporary samples file, and the caller sees a death
+        run_chunk, caller = _run_chunk, os.getpid()
+
+        def interrupted_chunk(*block):
+            if os.getpid() != caller:
+                raise KeyboardInterrupt
+            return run_chunk(*block)
+
+        monkeypatch.setattr(mc, "_run_chunk", interrupted_chunk)
+        message = "seed 9: the worker process for trials 0-511 died"
     else:
         _zero_one_trial(monkeypatch)
         message = _ZERO_MESSAGE
@@ -670,20 +743,13 @@ def _open_fds() -> set:
 )
 @pytest.mark.parametrize("ending", ["normal", "killed worker", "worker exception"])
 def test_nothing_left_behind(ending, monkeypatch):
-    pipes = []
-    context = mc.get_context
+    started = []
+    start_helper = mc._start_helper
 
-    class RecordingContext:
-        """The real context, recording every pipe end it makes."""
-
-        def __init__(self, method):
-            self.ctx = context(method)
-            self.Process = self.ctx.Process
-
-        def Pipe(self, duplex=True):
-            ends = self.ctx.Pipe(duplex)
-            pipes.extend(ends)
-            return ends
+    def recording_start(args, earlier):
+        """The real start, recording every helper it starts."""
+        started.append(start_helper(args, earlier))
+        return started[-1]
 
     if ending == "killed worker":
         run_chunk, caller = _run_chunk, os.getpid()
@@ -698,7 +764,7 @@ def test_nothing_left_behind(ending, monkeypatch):
     elif ending == "worker exception":
         _zero_one_trial(monkeypatch)
         expected = DegenerateChannelError
-    monkeypatch.setattr(mc, "get_context", RecordingContext)
+    monkeypatch.setattr(mc, "_start_helper", recording_start)
     run_ensemble(_cfg(), trials=6, seed=9)  # anything loaded on first use
     before = _open_fds()
     if ending == "normal":
@@ -707,7 +773,13 @@ def test_nothing_left_behind(ending, monkeypatch):
         with pytest.raises(expected):
             run_ensemble(_cfg(), trials=600, seed=9, workers=2)
     assert multiprocessing.active_children() == []
-    assert len(pipes) == 2 and all(end.closed for end in pipes)
+    # one helper, reaped, and the caller's end of its pipe closed
+    assert len(started) == 1
+    for helper in started:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(helper.pid, os.WNOHANG)
+        with pytest.raises(OSError):
+            os.fstat(helper.fd)
     assert _open_fds() == before
 
 
@@ -806,6 +878,29 @@ def test_block_beta_bit_equal_to_scalar(n_A, n_E, probe_dB):
         assert 0.0 <= b <= norm2(ch.h_BA)
         want = reference_trial(cfg, seed, start + i)
         assert [float(col[i]) for col in block] == [float(x) for x in want]
+
+
+def test_block_peak_memory_at_the_antenna_bound():
+    # at n_A = n_E = MAX_ANTENNAS a block's largest arrays are its draw
+    # (9.2 MB), G_A (8.4 MB) and the bordered matrix and its factor (8.9 MB
+    # each). Holding the draw, G_A, a scaled copy and its conjugate at once, a
+    # block peaked at 45.3 MB (43.2 MiB) above its start; freeing the draw
+    # early and scaling G_A in place took that to 28.0 MB (26.7 MiB). The
+    # 32 MiB bound was fixed before this test first ran.
+    cfg = _cfg(n_A=MAX_ANTENNAS, n_E=MAX_ANTENNAS)
+    _run_chunk(cfg, 1, 0, BLOCK_TRIALS, True)  # warm-up
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        _run_chunk(cfg, 1, BLOCK_TRIALS, 2 * BLOCK_TRIALS, True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 32 * 2**20, f"block peak {peak / 1e6:.1f} MB"
 
 
 def test_log2_ratio_block_bit_equal_to_scalar():
